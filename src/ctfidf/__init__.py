@@ -13,7 +13,6 @@ from .evaluation import (
     confusion,
     kfold_indices,
     metrics,
-    run_cv,
     time_train,
 )
 from .ingest import (
@@ -25,7 +24,7 @@ from .ingest import (
     normalize_labels,
     split,
 )
-from .irlba import IrlbaConfig, SvdFactors, irlba, lanczos_bidiag, project
+from .irlba import IrlbaConfig, SvdFactors, irlba, project
 from .pipeline import (
     DatasetConfig,
     ExperimentConfig,

@@ -172,50 +172,3 @@ class EvalReport:
         d["config"] = self.config_snapshot
         d.update(self.extras)
         return d
-
-
-@dataclass(frozen=True)
-class TrainerSpec:
-    """A fit/predict pair plus the class treated as positive."""
-
-    fit: Callable
-    predict: Callable
-    positive_label: str
-
-
-@dataclass(frozen=True)
-class CvResult:
-    mean: MetricsFragment
-    std: MetricsFragment
-    per_fold: tuple[MetricsFragment, ...]
-
-    @property
-    def n_folds(self) -> int:
-        return len(self.per_fold)
-
-
-def run_cv(X, y: Sequence[str], trainer: TrainerSpec, folds: int,
-           seed: int) -> CvResult:
-    """Stratified CV loop: fit on k-1 folds, score the held-out fold."""
-    fold_sets = kfold_indices(len(y), folds, seed, stratify_labels=y)
-    frags: list[MetricsFragment] = []
-    all_idx = np.arange(len(y))
-    for fold_no, test_idx in enumerate(fold_sets):
-        mask = np.zeros(len(y), dtype=bool)
-        mask[test_idx] = True
-        tr, te = all_idx[~mask], all_idx[mask]
-        try:
-            model = trainer.fit(X[tr], [y[i] for i in tr])
-            pred = trainer.predict(model, X[te])
-        except Exception as exc:
-            exc.fold_index = fold_no
-            raise
-        frags.append(metrics(confusion([y[i] for i in te], pred,
-                                       trainer.positive_label)))
-    def agg(fn):
-        return MetricsFragment(
-            precision=float(fn([f.precision for f in frags])),
-            recall=float(fn([f.recall for f in frags])),
-            f1=float(fn([f.f1 for f in frags])),
-            balanced_accuracy=float(fn([f.balanced_accuracy for f in frags])))
-    return CvResult(mean=agg(np.mean), std=agg(np.std), per_fold=tuple(frags))

@@ -76,7 +76,7 @@ class IrlbaConfig:
 class SvdFactors:
     """Truncated factors A ~ U diag(s) V^T with convergence metadata."""
 
-    U: np.ndarray  # m x k, orthonormal columns
+    U: np.ndarray | None  # m x k, orthonormal columns; None once loaded
     s: np.ndarray  # k, descending, nonnegative
     V: np.ndarray  # n x k, orthonormal columns
     k: int
@@ -225,56 +225,6 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
         restarts += 1
 
 
-def lanczos_bidiag(A, start: np.ndarray, steps: int, prior=None):
-    """Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization.
-
-    Returns (P, Q, B) with A @ Q ~ P @ B and A.T @ P ~ Q @ B.T up to a
-    residual confined to the final column. ``prior`` may be a previous
-    (P, Q, B) triple to extend by ``steps`` further columns, in which
-    case ``start`` is ignored and the residual direction is recovered
-    from the prior factorization.
-    """
-    m, n = A.shape
-    j0 = 0 if prior is None else prior[0].shape[1]
-    total = j0 + steps
-    if total > min(m, n):
-        raise ConfigError("steps", f"total steps {total} > min(m, n)={min(m, n)}")
-
-    rng = np.random.Generator(np.random.PCG64(0))
-    U = np.zeros((m, total), order="F")
-    V = np.zeros((n, total + 1), order="F")
-    B = np.zeros((total, total))
-    anorm = 0.0
-
-    if prior is None:
-        start = np.asarray(start, dtype=np.float64)
-        nrm = np.linalg.norm(start)
-        if not np.isclose(nrm, 1.0, atol=1e-8):
-            raise ValueError(f"start vector must have unit norm, got {nrm}")
-        V[:, 0] = start / nrm
-    else:
-        P0, Q0, B0 = prior
-        U[:, :j0] = P0
-        V[:, :j0] = Q0
-        B[:j0, :j0] = B0
-        # recover beta * v_next from the prior's last left vector
-        r = spmv_t(A, P0[:, -1]) - Q0 @ B0[j0 - 1, :]
-        r, _ = _cgs2(V, j0, r)
-        beta = float(np.linalg.norm(r))
-        anorm = float(np.abs(B0).max())
-        if beta > _BREAKDOWN_REL * anorm:
-            V[:, j0] = r / beta
-        else:
-            repl = _fresh_direction(rng, V, j0, n)
-            V[:, j0] = 0.0 if repl is None else repl
-
-    _extend(A, U, V, B, j0, total, rng, anorm)
-    # report the clean two-band matrix; off-band measured entries are
-    # reorthogonalization noise at machine precision
-    band = np.diag(np.diag(B)) + np.diag(np.diag(B, 1), 1)
-    return U, V[:, :total], band
-
-
 def project(X, factors: SvdFactors, scaled: bool = False) -> np.ndarray:
     """Fold document vectors into the latent space: X @ V.
 
@@ -295,17 +245,18 @@ def project(X, factors: SvdFactors, scaled: bool = False) -> np.ndarray:
 
 
 def save_factors(path: str, factors: SvdFactors) -> None:
-    """Write factors to an .npz container (any filename is honored)."""
+    """Write s, V and the metadata to an .npz container (any filename is
+    honored). U is left out: projecting new documents needs only V and s.
+    """
     with open(path, "wb") as fh:
-        np.savez(fh, U=np.ascontiguousarray(factors.U), s=factors.s,
-                 V=np.ascontiguousarray(factors.V),
-                 dims=np.array([factors.U.shape[0], factors.V.shape[0]]),
+        np.savez(fh, s=factors.s, V=np.ascontiguousarray(factors.V),
                  k=factors.k, tol=factors.tol, restarts=factors.restarts,
                  seed=factors.seed)
 
 
 def load_factors(path: str) -> SvdFactors:
+    """Read factors written by :func:`save_factors`; their U is None."""
     with np.load(path, allow_pickle=False) as z:
-        return SvdFactors(U=z["U"], s=z["s"], V=z["V"], k=int(z["k"]),
+        return SvdFactors(U=None, s=z["s"], V=z["V"], k=int(z["k"]),
                           tol=float(z["tol"]), restarts=int(z["restarts"]),
                           seed=int(z["seed"]))

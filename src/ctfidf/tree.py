@@ -6,13 +6,15 @@ values. A value equal to the threshold goes left. Ties between
 equally-good splits resolve to the lowest feature index, then the lowest
 threshold, so training is deterministic.
 
-Dense arrays and CSR matrices are accepted behind one feature-access
-interface: candidate evaluation walks every column in fixed-size blocks,
-materializing sparse blocks densely on the fly. Training cost therefore
-scales with the feature count for both storage forms (which is why
-dimensionality reduction speeds tree training up dramatically), and both
-forms produce bit-identical trees. Block size bounds peak memory, not
-the result.
+Dense arrays and sparse matrices share one split kernel. Each fit sorts
+the stored values once, by (feature, value): a dense array stores every
+cell, a sparse matrix only its nonzeros, and a feature's unstored rows
+count as one zero-valued entry. Children and cross-validation folds take
+their entries by a stable row filter, so nothing is sorted again, and
+both storage forms grow bit-identical trees. Split search therefore costs
+time in proportion to the stored values of a node rather than to its
+rows times the feature count, which is why a sparse term matrix is cheap
+to fit.
 
 The complexity parameter is selected from a fixed grid by stratified
 k-fold cross-validation maximizing mean F1, using one weakest-link
@@ -77,6 +79,8 @@ class DecisionTreeModel:
                        "leftChild": n.left, "rightChild": n.right,
                        "predictedLabel": n.predicted_label}
                       for n in self.nodes],
+            "cvMeanF1": [{"ccpAlpha": a, "meanF1": f}
+                         for a, f in self.cv_mean_f1.items()],
         }
 
     @classmethod
@@ -92,35 +96,58 @@ class DecisionTreeModel:
                    params=TreeParams(p["maxDepth"], p["minSamplesSplit"],
                                      p["ccpAlpha"]),
                    label_order=list(d["labelOrder"]),
-                   chosen_alpha=p["ccpAlpha"] or 0.0)
+                   chosen_alpha=p["ccpAlpha"] or 0.0,
+                   cv_mean_f1={e["ccpAlpha"]: e["meanF1"]
+                               for e in d.get("cvMeanF1", [])})
 
 
-class _ColumnAccess:
-    """Uniform per-column reads for dense arrays and CSR matrices."""
+# Stored values scored at once: bounds the kernel's scratch memory, not
+# the result.
+_SCORE_CAP = 1 << 16
 
-    def __init__(self, X):
-        self.sparse = sp.issparse(X)
-        if self.sparse:
-            self.csr = X.tocsr()
-            self._csc = None
-            self.n, self.n_features = X.shape
-        else:
-            self.dense = np.asarray(X, dtype=np.float64)
-            if self.dense.ndim != 2:
-                raise DimensionMismatchError("feature matrix must be 2-d")
-            self.n, self.n_features = self.dense.shape
 
-    def column_values(self, j: int, rows: np.ndarray) -> np.ndarray:
-        if self.sparse:
-            if self._csc is None:
-                self._csc = self.csr.tocsc()
-            return self._csc[:, j].toarray().ravel()[rows]
-        return self.dense[rows, j]
+def _as_columns(X):
+    """X as a float64 2-d array, or a canonical CSC copy without stored zeros.
 
-    def submatrix(self, rows: np.ndarray):
-        if self.sparse:
-            return self.csr[rows]
-        return self.dense[rows]
+    The copy leaves the caller's matrix as it was.
+    """
+    if sp.issparse(X):
+        Xc = sp.csc_matrix(X, dtype=np.float64, copy=True)
+        Xc.sum_duplicates()
+        Xc.eliminate_zeros()
+        return Xc
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionMismatchError("feature matrix must be 2-d")
+    return X
+
+
+def _column(X, j: int, rows: np.ndarray) -> np.ndarray:
+    """Values of feature ``j`` at ``rows`` of an :func:`_as_columns` matrix."""
+    if sp.issparse(X):
+        col = np.zeros(X.shape[0])
+        lo, hi = X.indptr[j], X.indptr[j + 1]
+        col[X.indices[lo:hi]] = X.data[lo:hi]
+        return col[rows]
+    return X[rows, j]
+
+
+def _sorted_entries(X):
+    """(feature, value, row) arrays of every stored value of an
+    :func:`_as_columns` matrix, sorted by (feature, value).
+
+    A dense array stores every cell, a CSC matrix only its nonzeros.
+    """
+    if sp.issparse(X):
+        per_feature, val, row = np.diff(X.indptr), X.data, X.indices
+    else:
+        n, n_features = X.shape
+        per_feature = np.full(n_features, n)
+        val = X.T.ravel()
+        row = np.tile(np.arange(n, dtype=np.int32), n_features)
+    feat = np.repeat(np.arange(X.shape[1], dtype=np.int32), per_feature)
+    order = np.lexsort((val, feat))
+    return feat[order], val[order], row[order]
 
 
 def _gini(counts: np.ndarray, n: int) -> float:
@@ -130,132 +157,102 @@ def _gini(counts: np.ndarray, n: int) -> float:
     return float(1.0 - np.dot(p, p))
 
 
-def _best_split_dense(Xn: np.ndarray, yn: np.ndarray, n_classes: int,
-                      parent_gini: float, block: int = 2048):
-    """Best (gain, feature, threshold) over a dense node submatrix."""
-    nn, nf = Xn.shape
-    total = np.bincount(yn, minlength=n_classes).astype(np.float64)
-    left_n = np.arange(1, nn, dtype=np.float64)[:, None]
-    right_n = nn - left_n
-    best = (0.0, -1, 0.0)
-    for start in range(0, nf, block):
-        Xb = Xn[:, start:start + block]
-        order = np.argsort(Xb, axis=0, kind="stable")
-        svals = np.take_along_axis(Xb, order, axis=0)
-        valid = svals[:-1] < svals[1:]
-        if not valid.any():
-            continue
-        sum_sq_l = np.zeros((nn - 1, Xb.shape[1]))
-        sum_sq_r = np.zeros((nn - 1, Xb.shape[1]))
-        for c in range(n_classes):
-            cum = np.cumsum((yn == c)[order], axis=0)[:-1]
-            sum_sq_l += cum * cum
-            sum_sq_r += (total[c] - cum) * (total[c] - cum)
-        gini_l = 1.0 - sum_sq_l / (left_n * left_n)
-        gini_r = 1.0 - sum_sq_r / (right_n * right_n)
-        gain = parent_gini - (left_n * gini_l + right_n * gini_r) / nn
-        gain[~valid] = -np.inf
-        per_feature_cut = np.argmax(gain, axis=0)
-        per_feature_gain = gain[per_feature_cut, np.arange(Xb.shape[1])]
-        jb = int(np.argmax(per_feature_gain))
-        g = float(per_feature_gain[jb])
-        if g > best[0]:
-            t = int(per_feature_cut[jb])
-            thr = (svals[t, jb] + svals[t + 1, jb]) / 2.0
-            best = (g, start + jb, float(thr))
-    return best
+def _best_split(entries, y_idx: np.ndarray, total: np.ndarray,
+                parent_gini: float):
+    """Best (gain, feature, threshold) over a node's sorted entries.
 
-
-def _best_split_sparse(Xn: sp.csr_matrix, yn: np.ndarray, n_classes: int,
-                       parent_gini: float):
-    """Best split over a CSR node submatrix, zeros handled implicitly.
-
-    Candidate boundaries are enumerated between distinct values only, with
-    the implicit zero block contributing one boundary value. Counts stay
-    exact integers, so the chosen split agrees bit-for-bit with the dense
-    kernel on the same data.
+    ``entries`` are the (feature, value, row) arrays of the node's stored
+    values in (feature, value) order, ``y_idx`` the class of every row and
+    ``total`` the node's class counts. The node's rows that a feature does
+    not store are zeros: they enter as one zero-valued entry, weighted by
+    their class counts, between the feature's negative and positive values.
+    Candidates are the boundaries between distinct values of one feature;
+    the first maximum in (feature, value) order wins. Features are scored
+    in groups of about ``_SCORE_CAP`` stored values.
     """
-    nn = Xn.shape[0]
-    total_i = np.bincount(yn, minlength=n_classes)
-    total = total_i.astype(np.float64)
-    Xc = Xn.tocsc()
-    occupied = np.flatnonzero(np.diff(Xc.indptr))
+    feat, val, row = entries
+    nn = int(total.sum())
+    n_classes = total.shape[0]
+    # where each feature's entries start, then the end
+    bounds = np.r_[np.flatnonzero(np.diff(feat, prepend=-1)), feat.shape[0]]
     best = (0.0, -1, 0.0)
-    for j in occupied:
-        lo, hi = Xc.indptr[j], Xc.indptr[j + 1]
-        vals = Xc.data[lo:hi]
-        cls = yn[Xc.indices[lo:hi]]
-        n_zero = nn - vals.shape[0]
-        uniq = np.unique(vals)
-        if n_zero > 0:
-            zpos = int(np.searchsorted(uniq, 0.0))
-            uniq = np.insert(uniq, zpos, 0.0)
-        if uniq.shape[0] < 2:
-            continue
-        counts = np.zeros((uniq.shape[0], n_classes))
-        np.add.at(counts, (np.searchsorted(uniq, vals), cls), 1.0)
-        if n_zero > 0:
-            counts[zpos] += (total_i
-                             - np.bincount(cls, minlength=n_classes))
-        cum = np.cumsum(counts, axis=0)[:-1]
-        left_n = cum.sum(axis=1)
-        right_n = nn - left_n
-        sum_sq_l = np.zeros(left_n.shape[0])
-        sum_sq_r = np.zeros(left_n.shape[0])
-        for c in range(n_classes):
-            lc = cum[:, c]
+    lo = 0
+    while lo < bounds.shape[0] - 1:
+        hi = np.searchsorted(bounds, bounds[lo] + _SCORE_CAP, side="right")
+        hi = max(lo + 1, int(hi) - 1)
+        group = hi - lo
+        v = val[bounds[lo]:bounds[hi]]
+        c = y_idx[row[bounds[lo]:bounds[hi]]]
+        seg = np.repeat(np.arange(group), np.diff(bounds[lo:hi + 1]))
+        stored = np.bincount(seg * n_classes + c, minlength=group * n_classes)
+        missing = total - stored.reshape(group, n_classes)
+        zeros = np.flatnonzero(missing.sum(axis=1) > 0)
+        at = (bounds[lo + zeros] - bounds[lo]
+              + np.bincount(seg[v < 0], minlength=group)[zeros])
+        v = np.insert(v, at, 0.0)
+        seg = np.insert(seg, at, zeros)
+        cut = np.flatnonzero((seg[:-1] == seg[1:]) & (v[:-1] < v[1:]))
+        left_n = np.zeros(cut.shape[0])
+        sum_sq_l = np.zeros(cut.shape[0])
+        sum_sq_r = np.zeros(cut.shape[0])
+        for k in range(n_classes):
+            weight = np.insert((c == k).astype(np.float64), at,
+                               missing[zeros, k])
+            # every feature's entries weigh total[k] in all, so subtracting
+            # that of the features before restarts the count per feature
+            lc = np.cumsum(weight)[cut] - seg[cut] * total[k]
+            left_n += lc
             sum_sq_l += lc * lc
-            rc = total[c] - lc
-            sum_sq_r += rc * rc
+            sum_sq_r += (total[k] - lc) * (total[k] - lc)
+        right_n = nn - left_n
         gini_l = 1.0 - sum_sq_l / (left_n * left_n)
         gini_r = 1.0 - sum_sq_r / (right_n * right_n)
         gain = parent_gini - (left_n * gini_l + right_n * gini_r) / nn
-        t = int(np.argmax(gain))
-        g = float(gain[t])
-        if g > best[0]:
-            thr = (uniq[t] + uniq[t + 1]) / 2.0
-            best = (g, int(j), float(thr))
+        if cut.shape[0]:
+            t = int(np.argmax(gain))
+            if gain[t] > best[0]:
+                i = cut[t]
+                best = (float(gain[t]), int(feat[bounds[lo + seg[i]]]),
+                        float((v[i] + v[i + 1]) / 2.0))
+        lo = hi
     return best
 
 
-def _grow(access: _ColumnAccess, y_idx: np.ndarray, labels: list[str],
-          params: TreeParams) -> list[TreeNode]:
-    n_classes = len(labels)
-    nodes: list[TreeNode] = []
-    # stack of (node_slot, row_indices, depth)
-    all_rows = np.arange(access.n)
-    nodes.append(_make_node(y_idx, all_rows, labels))
-    stack = [(0, all_rows, 0)]
+def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
+          labels: list[str], params: TreeParams) -> list[TreeNode]:
+    """Grow a tree on ``rows`` of X, whose sorted entries are ``entries``."""
+    nodes = [_make_node(y_idx, rows, labels)]
+    # stack of (node_slot, row_indices, (feature, value, row) entries, depth)
+    stack = [(0, rows, entries, 0)]
+    goes_left = np.zeros(X.shape[0], dtype=bool)
     while stack:
-        slot, rows, depth = stack.pop()
+        slot, rows, entries, depth = stack.pop()
         node = nodes[slot]
-        nn = rows.shape[0]
-        if (depth >= params.max_depth or nn < max(2, params.min_samples_split)
+        if (depth >= params.max_depth
+                or rows.shape[0] < max(2, params.min_samples_split)
                 or node.impurity == 0.0):
             continue
-        yn = y_idx[rows]
-        sub = access.submatrix(rows)
-        if access.sparse:
-            gain, feat, thr = _best_split_sparse(sub, yn, n_classes,
-                                                 node.impurity)
-        else:
-            gain, feat, thr = _best_split_dense(sub, yn, n_classes,
-                                                node.impurity)
-        if feat < 0 or gain <= 0.0:
+        gain, j, thr = _best_split(entries, y_idx,
+                                   node.class_counts.astype(np.float64),
+                                   node.impurity)
+        if j < 0 or gain <= 0.0:
             continue
-        col = access.column_values(feat, rows)
-        left_rows = rows[col <= thr]
-        right_rows = rows[col > thr]
+        mask = _column(X, j, rows) <= thr
+        left_rows, right_rows = rows[mask], rows[~mask]
         if left_rows.shape[0] == 0 or right_rows.shape[0] == 0:
             continue
-        node.feature = int(feat)
+        goes_left[rows] = mask
+        keep = goes_left[entries[2]]  # by the row of each entry
+        node.feature = int(j)
         node.threshold = float(thr)
         node.left = len(nodes)
         nodes.append(_make_node(y_idx, left_rows, labels))
         node.right = len(nodes)
         nodes.append(_make_node(y_idx, right_rows, labels))
-        stack.append((node.left, left_rows, depth + 1))
-        stack.append((node.right, right_rows, depth + 1))
+        stack.append((node.left, left_rows,
+                      tuple(a[keep] for a in entries), depth + 1))
+        stack.append((node.right, right_rows,
+                      tuple(a[~keep] for a in entries), depth + 1))
     return nodes
 
 
@@ -358,24 +355,24 @@ def _tree_at_alpha(nodes: list[TreeNode],
             cut = cum
         else:
             break
-    return _collapse(nodes, cut) if cut else _collapse(nodes, frozenset())
+    return _collapse(nodes, cut)
 
 
-def _predict_nodes(nodes: list[TreeNode], access: _ColumnAccess) -> list[str]:
-    out = np.empty(access.n, dtype=object)
-    stack = [(0, np.arange(access.n))]
+def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray) -> list[str]:
+    """Labels of ``rows`` of an :func:`_as_columns` matrix, in order."""
+    out = np.empty(rows.shape[0], dtype=object)
+    stack = [(0, np.arange(rows.shape[0]))]
     while stack:
-        slot, rows = stack.pop()
-        if rows.shape[0] == 0:
+        slot, pos = stack.pop()
+        if pos.shape[0] == 0:
             continue
         node = nodes[slot]
         if node.is_leaf:
-            out[rows] = node.predicted_label
+            out[pos] = node.predicted_label
             continue
-        col = access.column_values(node.feature, rows)
-        mask = col <= node.threshold
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
+        mask = _column(X, node.feature, rows[pos]) <= node.threshold
+        stack.append((node.left, pos[mask]))
+        stack.append((node.right, pos[~mask]))
     return list(out)
 
 
@@ -397,7 +394,8 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
         raise ValueError(f"cv_folds must be >= 2, got {cv_folds}")
     lab_to_idx = {lab: i for i, lab in enumerate(labels)}
     y_idx = np.asarray([lab_to_idx[lab] for lab in y], dtype=np.int64)
-    access = _ColumnAccess(X)
+    X = _as_columns(X)
+    entries = _sorted_entries(X)
     positive = labels[-1]
 
     cv_scores: dict[float, float] = {}
@@ -410,15 +408,15 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
             test_mask[test_idx] = True
             tr = all_idx[~test_mask]
             te = all_idx[test_mask]
-            Xtr = access.submatrix(tr)
-            tr_access = _ColumnAccess(Xtr)
-            grown = _grow(tr_access, y_idx[tr], labels, params)
+            # a stable filter keeps the root's (feature, value) order
+            in_fold = ~test_mask[entries[2]]
+            grown = _grow(X, tuple(a[in_fold] for a in entries), tr, y_idx,
+                          labels, params)
             path = _pruning_path(grown)
-            te_access = _ColumnAccess(access.submatrix(te))
             y_te = [y[i] for i in te]
             for a in CCP_ALPHA_GRID:
                 pruned = _tree_at_alpha(grown, path, a)
-                pred = _predict_nodes(pruned, te_access)
+                pred = _predict_nodes(pruned, X, te)
                 frag = metrics(confusion(y_te, pred, positive))
                 fold_f1[a].append(frag.f1)
         cv_scores = {a: float(np.mean(v)) for a, v in fold_f1.items()}
@@ -426,7 +424,7 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
     else:
         best_alpha = params.ccp_alpha
 
-    grown = _grow(access, y_idx, labels, params)
+    grown = _grow(X, entries, np.arange(len(y)), y_idx, labels, params)
     path = _pruning_path(grown)
     final = _tree_at_alpha(grown, path, best_alpha)
     return DecisionTreeModel(nodes=final, params=params, label_order=labels,
@@ -435,14 +433,14 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
 
 def predict_dtree(model: DecisionTreeModel, X) -> list[str]:
     """Root-to-leaf traversal; a value equal to the threshold goes left."""
-    access = _ColumnAccess(X)
+    X = _as_columns(X)
     feat_needed = max((n.feature for n in model.nodes
                        if n.feature is not None), default=-1)
-    if feat_needed >= access.n_features:
+    if feat_needed >= X.shape[1]:
         raise DimensionMismatchError(
             f"model splits on feature {feat_needed}, X has only "
-            f"{access.n_features} columns")
-    return _predict_nodes(model.nodes, access)
+            f"{X.shape[1]} columns")
+    return _predict_nodes(model.nodes, X, np.arange(X.shape[0]))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from ctfidf.evaluation import (
     ConfusionMatrix,
-    TrainerSpec,
     confusion,
     kfold_indices,
     metrics,
-    run_cv,
     time_train,
 )
 from ctfidf.exceptions import (
@@ -19,7 +17,6 @@ from ctfidf.exceptions import (
     LengthMismatchError,
     UnknownPositiveLabelError,
 )
-from ctfidf.svm import predict_svm, train_svm
 
 
 class TestConfusion:
@@ -162,46 +159,3 @@ class TestTimeTrain:
         with pytest.raises(RuntimeError) as err:
             time_train(boom)
         assert hasattr(err.value, "elapsed_ms")
-
-
-def svm_trainer(positive):
-    return TrainerSpec(
-        fit=lambda X, y: train_svm(X, y, seed=0),
-        predict=predict_svm,
-        positive_label=positive)
-
-
-class TestRunCv:
-    def test_separable_perfect(self):
-        rng = np.random.default_rng(1)
-        X = np.vstack([rng.normal(-4, 0.3, (30, 2)),
-                       rng.normal(4, 0.3, (30, 2))])
-        y = ["n"] * 30 + ["p"] * 30
-        result = run_cv(X, y, svm_trainer("p"), folds=5, seed=0)
-        assert result.mean.f1 == 1.0
-        assert result.std.f1 == 0.0
-        assert result.n_folds == 5
-
-    def test_shuffled_labels_near_chance(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((200, 5))
-        y = ["p"] * 120 + ["n"] * 80
-        y = [y[i] for i in rng.permutation(200)]  # labels independent of X
-        result = run_cv(X, y, svm_trainer("p"), folds=5, seed=1)
-        # majority predictor gets recall 1, precision = base rate 0.6,
-        # so F1 around 0.75; the chance-level oracle band is +-0.1
-        base = 120 / 200
-        oracle_f1 = 2 * base / (1 + base)
-        assert abs(result.mean.f1 - oracle_f1) <= 0.1
-
-    def test_error_tagged_with_fold(self):
-        def bad_fit(X, y):
-            raise RuntimeError("fit exploded")
-
-        spec = TrainerSpec(fit=bad_fit, predict=lambda m, X: [],
-                           positive_label="p")
-        X = np.ones((20, 2))
-        y = ["p", "n"] * 10
-        with pytest.raises(RuntimeError) as err:
-            run_cv(X, y, spec, folds=4, seed=0)
-        assert err.value.fold_index == 0

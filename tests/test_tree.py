@@ -1,7 +1,13 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ctfidf import tree
 from ctfidf.exceptions import DimensionMismatchError, SingleClassError
 from ctfidf.tree import (
     CCP_ALPHA_GRID,
@@ -115,6 +121,27 @@ class TestTraining:
         assert predict_dtree(model, X) == y
         assert model.nodes[0].threshold == 0.5
 
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    @pytest.mark.parametrize("values, threshold", [
+        ([0.0, 0.0, 0.0, 1.0, 2.0, 3.0], 0.5),
+        ([-3.0, -2.0, -1.0, 0.0, 0.0, 0.0], -0.5),
+    ])
+    def test_stored_zeros_match_dense(self, values, threshold, fmt):
+        # the first zero of the column is stored explicitly
+        first_zero = values.index(0.0)
+        rows = [i for i, v in enumerate(values) if v != 0.0 or i == first_zero]
+        X = sp.coo_matrix(([values[i] for i in rows], (rows, [0] * len(rows))),
+                          shape=(6, 1)).asformat(fmt)
+        assert X.nnz == len(rows)
+        y = ["A", "A", "A", "B", "B", "B"]
+        dense = train_dtree(np.array(values)[:, None], y,
+                            TreeParams(ccp_alpha=0.0))
+        sparse = train_dtree(X, y, TreeParams(ccp_alpha=0.0))
+        assert dense.nodes[0].threshold == threshold
+        assert sparse.nodes[0].threshold == threshold
+        assert predict_dtree(sparse, X) == y
+        assert X.nnz == len(rows)  # the caller's matrix is left as it was
+
     def test_determinism(self):
         X, y = noisy_data(seed=5)
         a = train_dtree(X, y, cv_folds=3, seed=9)
@@ -193,9 +220,72 @@ class TestImportance:
         assert feature_importance(model, names).ranking[0][0] == "f0"
 
 
+def gini_gain(left: list[int], right: list[int], n: int,
+              parent_gini: float) -> float:
+    """The kernel's gain expression, evaluated one candidate at a time."""
+    nl, nr = float(sum(left)), float(sum(right))
+    sum_sq_l = sum_sq_r = 0.0
+    for lc, rc in zip(left, right):
+        sum_sq_l += float(lc) * float(lc)
+        sum_sq_r += float(rc) * float(rc)
+    gini_l = 1.0 - sum_sq_l / (nl * nl)
+    gini_r = 1.0 - sum_sq_r / (nr * nr)
+    return parent_gini - (nl * gini_l + nr * gini_r) / n
+
+
+def exhaustive_root_split(D: np.ndarray, y: list[str], parent_gini: float):
+    """First best (feature, threshold) over every distinct-value boundary."""
+    labels = sorted(set(y))
+    best = (0.0, None, None)
+    for j in range(D.shape[1]):
+        values = sorted(set(D[:, j].tolist()))
+        for lo, hi in zip(values, values[1:]):
+            left = [sum(1 for x, lab in zip(D[:, j], y)
+                        if x <= lo and lab == c) for c in labels]
+            right = [y.count(c) - lc for c, lc in zip(labels, left)]
+            gain = gini_gain(left, right, len(y), parent_gini)
+            if gain > best[0]:
+                best = (gain, j, (lo + hi) / 2.0)
+    return best[1], best[2]
+
+
+@st.composite
+def small_matrices(draw):
+    """Dense matrix, CSR copy with some zeros stored, and labels."""
+    n = draw(st.integers(2, 12))
+    f = draw(st.integers(1, 4))
+    cell = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.0, 1.0, 2.0])
+    D = np.array(draw(st.lists(st.lists(cell, min_size=f, max_size=f),
+                               min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        D[:, draw(st.integers(0, f - 1))] = 0.0
+    stored = np.array(draw(st.lists(st.booleans(), min_size=n * f,
+                                    max_size=n * f))).reshape(n, f)
+    r, c = np.nonzero((D != 0.0) | stored)
+    X = sp.csr_matrix((D[r, c], (r, c)), shape=(n, f))
+    y = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    return D, X, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_dense_and_csr_grow_the_exhaustive_tree(data):
+    D, X, y = data
+    assume(len(set(y)) >= 2)
+    dense = train_dtree(D, y, TreeParams(ccp_alpha=0.0)).to_dict()
+    assert train_dtree(X, y, TreeParams(ccp_alpha=0.0)).to_dict() == dense
+    with mock.patch.object(tree, "_SCORE_CAP", 1):  # one feature per group
+        assert train_dtree(X, y, TreeParams(ccp_alpha=0.0)).to_dict() == dense
+    root = dense["nodes"][0]
+    assert (root["featureIndex"], root["threshold"]) == exhaustive_root_split(
+        D, y, root["impurity"])
+
+
 def test_json_roundtrip():
     X, y = noisy_data(seed=13)
     model = train_dtree(X, y, cv_folds=3, seed=2)
-    back = DecisionTreeModel.from_dict(model.to_dict())
+    back = DecisionTreeModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert back.cv_mean_f1 == model.cv_mean_f1
+    assert set(back.cv_mean_f1) == set(CCP_ALPHA_GRID)
     Xq = np.random.default_rng(1).standard_normal((50, X.shape[1]))
     assert predict_dtree(back, Xq) == predict_dtree(model, Xq)
