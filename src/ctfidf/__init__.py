@@ -60,7 +60,6 @@ from .weighting import (
     fit_weighting,
     idf_arcsinh,
     idf_classic,
-    tf_row,
 )
 
 __version__ = "0.1.0"

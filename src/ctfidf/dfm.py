@@ -77,10 +77,3 @@ def build_dfm(docs: list[ProcessedDoc], vocab: Vocabulary) -> sp.csr_matrix:
     X.sum_duplicates()
     X.sort_indices()
     return X
-
-
-def dump_matrix_market(path: str, X: sp.spmatrix) -> None:
-    """Write a matrix in MatrixMarket coordinate format (debug/oracle use)."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, sp.coo_matrix(X))

@@ -2,23 +2,39 @@
 
 Finds the k largest singular triplets of a large sparse (or dense) matrix
 A without ever densifying it. One restart cycle runs Golub-Kahan-Lanczos
-bidiagonalization out to ``work_size`` basis vectors with full
-reorthogonalization, takes the SVD of the small projected matrix, and
-checks Ritz residuals. If unconverged, the basis is collapsed onto the
-leading Ritz vectors plus the residual direction (augmentation) and the
-recurrence continues from there.
+bidiagonalization out to ``work_size`` basis vectors, takes the SVD of the
+small projected matrix, and checks Ritz residuals. If unconverged, the
+basis is collapsed onto the leading Ritz vectors plus the residual
+direction (augmentation) and the recurrence continues from there.
 
 Implementation notes:
 
-* Both bases are re-orthogonalized with classical Gram-Schmidt applied
-  twice, which keeps orthonormality at machine precision for the basis
-  sizes used here (a few hundred columns).
+* Reorthogonalization is one-sided (Simon & Zha 2000; Baglama & Reichel
+  2005). Only the right basis V gets classical Gram-Schmidt applied twice
+  against all its columns; while V stays orthonormal, the recurrence keeps
+  the left basis U orthonormal to about the same precision, so each new u
+  is orthogonalized only against its predecessor. The exception is the
+  first column after a restart, which couples to every kept Ritz vector
+  (the arrowhead column) and is orthogonalized against all of them.
+* Orientation: full reorthogonalization costs time in proportion to the
+  length of the vectors it runs on, and text matrices are often wide. A
+  matrix with fewer rows than columns is therefore run transposed, so
+  that the fully reorthogonalized basis is always the shorter one, and U
+  and V are swapped back in the result.
+* Cancellation guard: when A v_j lies almost wholly in the span of the
+  earlier u's (rank-deficient or nearly so input), the local step
+  subtracts nearly equal vectors, and the rounding error it leaves is no
+  longer small against what remains. The components along older u's then
+  grow unchecked and U loses orthonormality. So a local step that leaves
+  less than ``_LOCAL_KEEP`` of the norm of A v_j is redone against the
+  whole of U.
 * The small matrix B stores the measured projection coefficients
   ``U^T A v`` rather than the textbook bidiagonal entries. In exact
   arithmetic these coincide (and after an augmented restart they produce
   the arrowhead column automatically), so no special-case bookkeeping is
   needed and the Ritz extraction stays consistent with what was actually
-  computed.
+  computed. Columns orthogonalized only locally hold exact zeros above
+  the superdiagonal.
 * Residuals: by construction A v_i = s_i u_i exactly, and
   ``||A^T u_i - s_i v_i|| = beta * |last row of W|`` where B = W S Y^T,
   so convergence tests cost nothing beyond the small SVD.
@@ -39,6 +55,9 @@ from .exceptions import (
 )
 
 _BREAKDOWN_REL = 1e-12  # of the running norm estimate
+# share of ||A v_j|| a local orthogonalization step must leave, or the
+# step is redone against all of U (see the module notes)
+_LOCAL_KEEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -103,14 +122,11 @@ def spmv_t(A, x: np.ndarray) -> np.ndarray:
     return np.asarray(A.T @ x).ravel()
 
 
-def _cgs2(basis: np.ndarray, ncols: int, w: np.ndarray):
-    """Classical Gram-Schmidt, applied twice, against basis[:, :ncols].
+def _cgs2(Q: np.ndarray, w: np.ndarray):
+    """Classical Gram-Schmidt, applied twice, against the columns of Q.
 
     Returns the orthogonalized vector and the measured coefficients.
     """
-    if ncols == 0:
-        return w, np.zeros(0)
-    Q = basis[:, :ncols]
     c1 = Q.T @ w
     w = w - Q @ c1
     c2 = Q.T @ w
@@ -125,7 +141,7 @@ def _fresh_direction(rng: np.random.Generator, basis: np.ndarray,
         return None
     for _ in range(3):
         cand = rng.standard_normal(dim)
-        cand, _ = _cgs2(basis, ncols, cand)
+        cand, _ = _cgs2(basis[:, :ncols], cand)
         nrm = np.linalg.norm(cand)
         if nrm > 1e-6:
             return cand / nrm
@@ -139,17 +155,24 @@ def _extend(A, U: np.ndarray, V: np.ndarray, B: np.ndarray,
     """Advance the bidiagonalization from j_start to j_end columns.
 
     On entry U[:, :j_start], V[:, :j_start + 1] and B[:j_start, :j_start]
-    hold a valid partial factorization. Returns (beta, anorm) where beta
-    couples the final right residual direction V[:, j_end].
+    hold a valid partial factorization, and B[:, j_start:] is zero.
+    Returns (beta, anorm) where beta couples the final right residual
+    direction V[:, j_end].
     """
     m, n = A.shape
     beta = 0.0
     for j in range(j_start, j_end):
-        w = spmv(A, V[:, j])
-        w, c = _cgs2(U, j, w)
+        Av = spmv(A, V[:, j])
+        # the first column of a cycle couples to every column before it
+        lo = 0 if j == j_start else j - 1
+        w, c = _cgs2(U[:, lo:j], Av)
         alpha = float(np.linalg.norm(w))
+        if lo > 0 and alpha < _LOCAL_KEEP * float(np.linalg.norm(Av)):
+            lo = 0
+            w, c = _cgs2(U[:, :j], Av)
+            alpha = float(np.linalg.norm(w))
         anorm = max(anorm, alpha)
-        B[:j, j] = c
+        B[lo:j, j] = c
         if alpha > _BREAKDOWN_REL * anorm and alpha > 0.0:
             B[j, j] = alpha
             U[:, j] = w / alpha
@@ -158,7 +181,7 @@ def _extend(A, U: np.ndarray, V: np.ndarray, B: np.ndarray,
             U[:, j] = _fresh_direction(rng, U, j, m)
 
         r = spmv_t(A, U[:, j])
-        r, _ = _cgs2(V, j + 1, r)
+        r, _ = _cgs2(V[:, :j + 1], r)
         beta = float(np.linalg.norm(r))
         anorm = max(anorm, beta)
         if beta > _BREAKDOWN_REL * anorm and beta > 0.0:
@@ -180,6 +203,11 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
     m, n = A.shape
     k = cfg.k
     work = cfg.resolve_work(m, n)
+    # V, the fully reorthogonalized basis, must be the shorter one
+    wide = m < n
+    if wide:
+        A = A.T.tocsr() if sp.issparse(A) else A.T
+        m, n = n, m
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
     U = np.zeros((m, work), order="F")
@@ -205,6 +233,8 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
         if done or restarts >= cfg.max_restarts:
             Uk = U @ W[:, :k]
             Vk = V[:, :work] @ Yt[:k, :].T
+            if wide:
+                Uk, Vk = Vk, Uk
             factors = SvdFactors(U=Uk, s=s[:k].copy(), V=Vk, k=k,
                                  tol=cfg.tol, restarts=restarts, seed=cfg.seed)
             if done:

@@ -41,6 +41,11 @@ from .tree import (
 
 SCHEMA_VERSION = 1
 
+# hyperparameters _train_model reads, per model kind
+_HYPERPARAMETERS = {"svm": ("C", "tol", "maxIter", "seed"),
+                   "dtree": ("maxDepth", "minSamplesSplit", "ccpAlpha",
+                             "seed")}
+
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -102,9 +107,13 @@ class ExperimentConfig:
                               f"{self.weighting_scheme!r}")
         if self.ctf_dense and self.weighting_scheme != "ctfidf":
             raise ConfigError("ctf_dense", "only valid with ctfidf weighting")
-        if self.model.kind not in ("svm", "dtree"):
+        if self.model.kind not in _HYPERPARAMETERS:
             raise ConfigError("model.kind",
                               f"must be svm or dtree, got {self.model.kind!r}")
+        _reject_unknown(self.model.hyperparameters,
+                        _HYPERPARAMETERS[self.model.kind],
+                        "model.hyperparameters",
+                        f"not a {self.model.kind} hyperparameter")
         if not 0.0 < self.split.train_fraction < 1.0:
             raise ConfigError("split.train_fraction",
                               f"must be in (0, 1), got "
@@ -162,16 +171,37 @@ class ExperimentConfig:
         }
 
 
-def config_from_dict(d: dict, base_dir: str | Path = ".") -> ExperimentConfig:
-    """Build a config from parsed JSON, rejecting unknown keys."""
-    known = {"dataset", "preprocess", "weighting", "ctfDense", "minDocFreq",
-             "reduce", "model", "split", "cvFolds", "positiveLabel",
-             "projectScaled", "outputDir"}
-    extra = set(d) - known
+def _reject_unknown(d: dict, known, where: str = "",
+                    message: str = "unknown configuration key") -> None:
+    """Raise ConfigError naming the first key of d that is not known."""
+    extra = set(d) - set(known)
     if extra:
-        raise ConfigError(sorted(extra)[0], "unknown configuration key")
-    ds = d.get("dataset")
-    if not isinstance(ds, dict) or "path" not in ds:
+        name = sorted(extra)[0]
+        raise ConfigError(f"{where}.{name}" if where else name, message)
+
+
+def _section(d: dict, name: str, known) -> dict:
+    """The object under d[name] ({} when absent), with only known keys."""
+    sec = d.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(name, "must be an object")
+    _reject_unknown(sec, known, name)
+    return sec
+
+
+def config_from_dict(d: dict, base_dir: str | Path = ".") -> ExperimentConfig:
+    """Build a config from parsed JSON, rejecting unknown keys at every level.
+
+    Hyperparameter names depend on the model kind, and are checked by
+    :meth:`ExperimentConfig.validate`.
+    """
+    _reject_unknown(d, ("dataset", "preprocess", "weighting", "ctfDense",
+                        "minDocFreq", "reduce", "model", "split", "cvFolds",
+                        "positiveLabel", "projectScaled", "outputDir"))
+    ds = _section(d, "dataset", ("path", "delimiter", "labelColumn",
+                                 "textColumn", "hasHeader", "labelMapping",
+                                 "quoted", "lenient", "keepEmpty"))
+    if "path" not in ds:
         raise ConfigError("dataset", "must be an object with a 'path'")
     path = Path(ds["path"])
     if not path.is_absolute():
@@ -185,23 +215,26 @@ def config_from_dict(d: dict, base_dir: str | Path = ".") -> ExperimentConfig:
                             quoted=ds.get("quoted"),
                             lenient=bool(ds.get("lenient", False)),
                             keep_empty=bool(ds.get("keepEmpty", False)))
-    pp = d.get("preprocess", {})
+    pp = _section(d, "preprocess",
+                  ("stopwordList", "removeNumbers", "minTokenLength"))
     pre_kwargs = {}
+    if "stopwordList" in pp:
+        pre_kwargs["stopword_list"] = str(pp["stopwordList"])
     if "removeNumbers" in pp:
         pre_kwargs["remove_numbers"] = bool(pp["removeNumbers"])
     if "minTokenLength" in pp:
         pre_kwargs["min_token_length"] = int(pp["minTokenLength"])
     preprocess = PreprocessConfig(**pre_kwargs)
-    rd = d.get("reduce", {})
+    rd = _section(d, "reduce", ("enabled", "k", "tol", "workSize", "seed"))
     reduce_cfg = ReduceConfig(enabled=bool(rd.get("enabled", True)),
                               k=int(rd.get("k", 300)),
                               tol=float(rd.get("tol", 1e-5)),
                               work_size=rd.get("workSize"),
                               seed=int(rd.get("seed", 0)))
-    md = d.get("model", {})
+    md = _section(d, "model", ("kind", "hyperparameters"))
     model = ModelSpec(kind=md.get("kind", "svm"),
                       hyperparameters=dict(md.get("hyperparameters", {})))
-    spl = d.get("split", {})
+    spl = _section(d, "split", ("trainFraction", "seed", "stratified"))
     frac = float(spl.get("trainFraction", 0.7))
     if not 0.0 < frac < 1.0:
         raise ConfigError("split.trainFraction",

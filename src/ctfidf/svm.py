@@ -33,19 +33,26 @@ class SvmModel:
     bias: float
     C: float
     label_order: tuple[str, str]  # (negative, positive)
-    objective_path: tuple[float, ...] = ()
+    objective_path: tuple[float, ...] = ()  # dual objective after each pass
     passes: int = 0
+    pg_gap: float = 0.0  # projected-gradient spread of the last pass
 
     def to_dict(self) -> dict:
         return {"kind": "svm", "weights": self.weights.tolist(),
                 "bias": self.bias, "C": self.C,
-                "labelOrder": list(self.label_order)}
+                "labelOrder": list(self.label_order),
+                "passes": self.passes, "pgGap": self.pg_gap,
+                "objectivePath": list(self.objective_path)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvmModel":
         return cls(weights=np.asarray(d["weights"], dtype=np.float64),
                    bias=float(d["bias"]), C=float(d["C"]),
-                   label_order=(d["labelOrder"][0], d["labelOrder"][1]))
+                   label_order=(d["labelOrder"][0], d["labelOrder"][1]),
+                   objective_path=tuple(float(v) for v in
+                                        d.get("objectivePath", ())),
+                   passes=int(d.get("passes", 0)),
+                   pg_gap=float(d.get("pgGap", 0.0)))
 
 
 def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
@@ -127,13 +134,15 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
             converged = True
             break
 
+    gap = float(max_pg - min_pg)
     model = SvmModel(weights=w, bias=b, C=C, label_order=(neg, pos),
-                     objective_path=tuple(objective_path), passes=passes)
+                     objective_path=tuple(objective_path), passes=passes,
+                     pg_gap=gap)
     if not converged:
         raise NoConvergenceError(
             f"dual coordinate descent did not reach tol={tol} within "
             f"{max_iter} passes", restarts=passes,
-            worst_residual=float(max_pg - min_pg), best=model)
+            worst_residual=gap, best=model)
     return model
 
 

@@ -50,21 +50,6 @@ class WeightingModel:
                    int(d["nDocs"]))
 
 
-def tf_row(counts):
-    """Max-normalize one row of counts; an all-zero row stays all-zero."""
-    if sp.issparse(counts):
-        row = counts.tocsr()
-        out = row.astype(np.float64)
-        if out.nnz:
-            m = out.data.max()
-            if m > 0:
-                out.data = out.data / m
-        return out
-    arr = np.asarray(counts, dtype=np.float64)
-    m = arr.max() if arr.size else 0.0
-    return arr / m if m > 0 else arr.copy()
-
-
 def _tf_matrix(counts: sp.csr_matrix) -> sp.csr_matrix:
     """Row-wise max normalization of a CSR count matrix."""
     X = counts.tocsr().astype(np.float64, copy=True)

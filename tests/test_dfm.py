@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ctfidf.dfm import build_dfm, build_vocabulary, dump_matrix_market
+from ctfidf.dfm import build_dfm, build_vocabulary
 from ctfidf.exceptions import EmptyVocabularyError
 from ctfidf.preprocess import ProcessedDoc
 
@@ -89,15 +89,3 @@ class TestBuildDfm:
         vocab = build_vocabulary(docs_from(lists))
         X = build_dfm(docs_from(lists), vocab)
         assert X.toarray().tolist() == [[1, 0], [0, 1], [1, 1]]
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    from scipy.io import mmread
-
-    lists = [["a", "b", "a"], ["c"]]
-    vocab = build_vocabulary(docs_from(lists))
-    X = build_dfm(docs_from(lists), vocab)
-    path = tmp_path / "dfm.mtx"
-    dump_matrix_market(str(path), X)
-    back = mmread(str(path))
-    assert (back.toarray() == X.toarray()).all()

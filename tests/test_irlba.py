@@ -113,16 +113,21 @@ class TestIrlba:
         assert np.allclose(np.abs(f2.V.T @ f1.V), np.eye(4), atol=1e-6)
 
     def test_rank_deficient_matrix(self):
-        # rank 3 matrix, ask for k=5: trailing values are ~0
-        rng = np.random.default_rng(15)
-        L = rng.standard_normal((40, 3))
-        R = rng.standard_normal((3, 30))
-        A = sp.csr_matrix(L @ R)
-        f = irlba(A, IrlbaConfig(k=5, tol=1e-8, seed=6))
-        dense = np.linalg.svd(A.toarray(), compute_uv=False)[:5]
-        assert np.abs(f.s[:3] - dense[:3]).max() <= 1e-6 * dense[0]
-        assert f.s[3] <= 1e-8 * dense[0]
-        assert np.abs(f.U.T @ f.U - np.eye(5)).max() <= 1e-8
+        # ask for more values than the rank: trailing values are ~0. The
+        # tall and wide rank-5 inputs make the local reorthogonalization
+        # step cancel, and lose orthonormality if it is not redone.
+        for (m, n), rank, k, data_seed, seed in (((40, 30), 3, 5, 15, 6),
+                                                 ((300, 100), 5, 20, 1000, 0),
+                                                 ((100, 300), 5, 20, 1000, 0)):
+            rng = np.random.default_rng(data_seed)
+            L = rng.standard_normal((m, rank))
+            R = rng.standard_normal((rank, n))
+            A = sp.csr_matrix(L @ R)
+            f = irlba(A, IrlbaConfig(k=k, tol=1e-8, seed=seed))
+            dense = np.linalg.svd(A.toarray(), compute_uv=False)
+            assert np.abs(f.s[:rank] - dense[:rank]).max() <= 1e-6 * dense[0]
+            assert f.s[rank] <= 1e-8 * dense[0]
+            check_factors(A, f, 1e-8)
 
     def test_zero_matrix(self):
         A = sp.csr_matrix((20, 15))
@@ -132,13 +137,17 @@ class TestIrlba:
         assert np.abs(f.V.T @ f.V - np.eye(3)).max() <= 1e-8
 
     def test_no_convergence_payload(self):
-        A = random_sparse(100, 90, 0.05, seed=16)
-        with pytest.raises(NoConvergenceError) as err:
-            irlba(A, IrlbaConfig(k=10, work_size=12, tol=1e-14,
-                                 max_restarts=0, seed=8))
-        assert err.value.best is not None
-        assert err.value.best.s.shape == (10,)
-        assert err.value.worst_residual > 0
+        for m, n in ((100, 90), (60, 150)):
+            A = random_sparse(m, n, 0.05, seed=16)
+            with pytest.raises(NoConvergenceError) as err:
+                irlba(A, IrlbaConfig(k=10, work_size=12, tol=1e-14,
+                                     max_restarts=0, seed=8))
+            best = err.value.best
+            assert best is not None
+            assert best.s.shape == (10,)
+            assert best.U.shape == (m, 10)
+            assert best.V.shape == (n, 10)
+            assert err.value.worst_residual > 0
 
     def test_config_validation(self):
         A = random_sparse(30, 20, 0.2, seed=17)

@@ -48,6 +48,36 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, base_config))
 
+    def test_unknown_section_key_names_field(self, base_config):
+        for section, key in (("dataset", "delimeter"),
+                             ("preprocess", "stopwords"), ("reduce", "K"),
+                             ("model", "hyperparams"), ("split", "seeed")):
+            cfg = json.loads(json.dumps(base_config))
+            cfg.setdefault(section, {})[key] = 1
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(cfg)
+            assert err.value.field == f"{section}.{key}"
+
+    def test_hyperparameters_checked_against_model_kind(self, base_config):
+        for kind, good, typo in (("svm", "C", "c"),
+                                 ("dtree", "ccpAlpha", "C")):
+            base_config["model"] = {"kind": kind,
+                                    "hyperparameters": {good: 0.5}}
+            config_from_dict(base_config).validate()
+            base_config["model"]["hyperparameters"][typo] = 10
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(base_config).validate()
+            assert err.value.field == f"model.hyperparameters.{typo}"
+            assert kind in str(err.value)
+
+    def test_stopword_list_is_read(self, base_config):
+        base_config["preprocess"] = {"stopwordList": "snowball-english"}
+        config_from_dict(base_config).validate()
+        base_config["preprocess"] = {"stopwordList": "smart"}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(base_config).validate()
+        assert "smart" in str(err.value)
+
     def test_bad_weighting(self, base_config):
         base_config["weighting"] = "bm25"
         cfg = config_from_dict(base_config)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -113,8 +115,11 @@ class TestPredict:
 def test_json_roundtrip():
     X, y = clouds(seed=15)
     model = train_svm(X, y, seed=16)
-    back = SvmModel.from_dict(model.to_dict())
+    back = SvmModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert np.array_equal(back.weights, model.weights)
     assert back.bias == model.bias
     assert back.label_order == model.label_order
+    assert back.passes == model.passes == len(model.objective_path)
+    assert back.pg_gap == model.pg_gap < 1e-4
+    assert back.objective_path == model.objective_path
     assert predict_svm(back, X) == predict_svm(model, X)

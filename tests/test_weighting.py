@@ -14,7 +14,6 @@ from ctfidf.weighting import (
     fit_weighting,
     idf_arcsinh,
     idf_classic,
-    tf_row,
 )
 
 
@@ -31,22 +30,6 @@ def vocab_with(doc_freq, n_docs):
                       index_to_term=terms,
                       doc_freq=np.asarray(doc_freq, dtype=np.int64),
                       n_docs=n_docs)
-
-
-class TestTfRow:
-    def test_max_normalization(self):
-        assert tf_row(np.array([3.0, 1.0, 0.0])).tolist() == [1.0, 1 / 3, 0.0]
-
-    def test_tie_at_max(self):
-        assert tf_row(np.array([2.0, 2.0])).tolist() == [1.0, 1.0]
-
-    def test_zero_row_guard(self):
-        assert tf_row(np.zeros(4)).tolist() == [0.0] * 4
-
-    def test_sparse_row(self):
-        row = sp.csr_matrix(np.array([[0.0, 4.0, 2.0]]))
-        out = tf_row(row)
-        assert out.toarray().tolist() == [[0.0, 1.0, 0.5]]
 
 
 class TestIdf:
