@@ -1,17 +1,16 @@
 """Command-line experiment runner.
 
-Subcommands: ``run`` (one experiment from a JSON config, flags override
-file values), ``explain`` (top stems of a term-space tree model),
-``compare`` (several configs, one table), ``stem`` (debug single-string
-preprocessing), ``svd-check`` (truncated SVD vs a dense oracle on a
-MatrixMarket file). Exit codes: 0 success, 1 pipeline failure, 2
-configuration error.
+Subcommands: ``run`` (one experiment from a JSON config; flags replace
+file values before the config is parsed), ``explain`` (top stems of a
+term-space tree model), ``compare`` (several configs, one table), ``stem``
+(debug single-string preprocessing), ``svd-check`` (truncated SVD vs a
+dense oracle on a MatrixMarket file). Exit codes: 0 success, 1 pipeline
+failure, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -39,12 +38,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="experiment config JSON")
     run.add_argument("--weighting", choices=["tfidf", "ctfidf"])
     run.add_argument("--reduce", choices=["none", "irlba"])
-    run.add_argument("--k", type=int, help="number of singular vectors")
+    run.add_argument("--k", help="number of singular vectors")
     run.add_argument("--model", choices=["dtree", "svm"])
-    run.add_argument("--seed", type=int,
+    run.add_argument("--seed",
                      help="master seed: overrides split, SVD, and learner seeds")
-    run.add_argument("--train-frac", type=float)
-    run.add_argument("--folds", type=int)
+    run.add_argument("--train-frac")
+    run.add_argument("--folds")
     run.add_argument("--positive-label")
     run.add_argument("--out", help="output directory")
     run.add_argument("--ctf-dense", action="store_true",
@@ -77,43 +76,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: pipeline.ExperimentConfig,
-                     args: argparse.Namespace) -> pipeline.ExperimentConfig:
-    updates = {}
-    if args.weighting:
-        updates["weighting_scheme"] = args.weighting
-    if args.reduce is not None:
-        updates["reduce"] = dataclasses.replace(cfg.reduce,
-                                                enabled=args.reduce == "irlba")
-    if args.k is not None:
-        red = updates.get("reduce", cfg.reduce)
-        updates["reduce"] = dataclasses.replace(red, k=args.k)
-    if args.model:
-        updates["model"] = dataclasses.replace(cfg.model, kind=args.model)
-    if args.train_frac is not None:
-        updates["split"] = dataclasses.replace(cfg.split,
-                                               train_fraction=args.train_frac)
-    if args.seed is not None:
-        split = updates.get("split", cfg.split)
-        updates["split"] = dataclasses.replace(split, seed=args.seed)
-        red = updates.get("reduce", cfg.reduce)
-        updates["reduce"] = dataclasses.replace(red, seed=args.seed)
-    if args.folds is not None:
-        updates["cv_folds"] = args.folds
-    if args.positive_label:
-        updates["positive_label"] = args.positive_label
-    if args.out:
-        updates["output_dir"] = args.out
-    if args.ctf_dense:
-        updates["ctf_dense"] = True
-    if args.project_scaled:
-        updates["project_scaled"] = True
-    return dataclasses.replace(cfg, **updates)
+def _overrides(args: argparse.Namespace) -> dict:
+    """The run flags given, by the dotted JSON config key each replaces."""
+    flags = {"weighting": args.weighting,
+             "reduce.enabled": (None if args.reduce is None
+                                else args.reduce == "irlba"),
+             "reduce.k": args.k, "model.kind": args.model,
+             "split.trainFraction": args.train_frac,
+             "split.seed": args.seed, "reduce.seed": args.seed,
+             "cvFolds": args.folds, "positiveLabel": args.positive_label,
+             "outputDir": args.out, "ctfDense": args.ctf_dense or None,
+             "projectScaled": args.project_scaled or None}
+    return {key: value for key, value in flags.items() if value is not None}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = pipeline.load_config(args.config)
-    cfg = _apply_overrides(cfg, args)
+    cfg = pipeline.load_config(args.config, _overrides(args))
     report = pipeline.run_experiment(cfg)
     m = report.metric
     print(f"precision={m.precision:.4f} recall={m.recall:.4f} "

@@ -81,33 +81,19 @@ def metrics(cm: ConfusionMatrix) -> MetricsFragment:
                            balanced_accuracy=(recall + specificity) / 2)
 
 
-def kfold_indices(n: int, k: int, seed: int,
-                  stratify_labels: Sequence[str] | None = None
-                  ) -> list[np.ndarray]:
-    """Disjoint fold index arrays covering range(n), sizes within 1.
+def kfold_indices(labels: Sequence[str], k: int,
+                  seed: int) -> list[np.ndarray]:
+    """Stratified folds: disjoint index arrays covering range(len(labels)).
 
-    Stratified folds keep each label's per-fold count within one of its
-    exact share. Deterministic for a given seed.
+    Fold sizes are within 1 of each other, and each label's per-fold count
+    within one of its exact share. Deterministic for a given seed.
     """
+    n = len(labels)
     if k < 2 or k > n:
         raise InvalidKError(f"need 2 <= k <= n, got k={k}, n={n}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    if stratify_labels is None:
-        perm = rng.permutation(n)
-        base, extra = divmod(n, k)
-        folds = []
-        at = 0
-        for f in range(k):
-            size = base + (1 if f < extra else 0)
-            folds.append(np.sort(perm[at:at + size]))
-            at += size
-        return folds
-
-    if len(stratify_labels) != n:
-        raise LengthMismatchError(
-            f"{len(stratify_labels)} labels for n={n}")
     by_label: dict[str, list[int]] = {}
-    for i, lab in enumerate(stratify_labels):
+    for i, lab in enumerate(labels):
         by_label.setdefault(lab, []).append(i)
     thin = sorted(lab for lab, idx in by_label.items() if len(idx) < k)
     if thin:

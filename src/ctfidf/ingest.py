@@ -8,6 +8,7 @@ generator: identical (corpus, spec) inputs always yield identical splits.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import logging
 import math
@@ -39,17 +40,18 @@ class LabeledCorpus:
     """An ordered collection of labeled records.
 
     ``label_set`` always equals the set of labels occurring in ``records``;
-    record order preserves file order.
+    record order preserves file order. ``sha256`` is the hex digest of the
+    file bytes the records were parsed from ("" when not loaded from a file).
     """
 
     records: tuple[RawRecord, ...]
     label_set: frozenset[str]
-    source_path: str
+    sha256: str
 
     @classmethod
-    def from_records(cls, records, source_path: str = "") -> "LabeledCorpus":
+    def from_records(cls, records, sha256: str = "") -> "LabeledCorpus":
         records = tuple(records)
-        return cls(records, frozenset(r.label for r in records), source_path)
+        return cls(records, frozenset(r.label for r in records), sha256)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -156,7 +158,8 @@ def load_dataset(path: str, fmt: LoadFormat = LoadFormat(), *,
             raise MalformedRowError(line_number, f"line {line_number}: {bad}")
         records.append(RawRecord(label, text))
 
-    corpus = LabeledCorpus.from_records(records, source_path=str(path))
+    corpus = LabeledCorpus.from_records(records,
+                                        hashlib.sha256(raw).hexdigest())
     logger.info("loaded %d record(s) from %s (%d skipped), labels: %s",
                 len(corpus), path, skipped, sorted(corpus.label_set))
     return corpus
@@ -173,7 +176,7 @@ def normalize_labels(corpus: LabeledCorpus, mapping: dict[str, str], *,
                 f"(labels present: {sorted(corpus.label_set)})")
     records = tuple(RawRecord(mapping.get(r.label, r.label), r.text)
                     for r in corpus.records)
-    return LabeledCorpus.from_records(records, source_path=corpus.source_path)
+    return LabeledCorpus.from_records(records, corpus.sha256)
 
 
 def _train_count(fraction: float, n: int) -> int:
@@ -230,6 +233,6 @@ def split(corpus: LabeledCorpus,
     train_set = set(train_idx)
     train_records = [corpus.records[i] for i in sorted(train_set)]
     test_records = [corpus.records[i] for i in range(n) if i not in train_set]
-    train = LabeledCorpus.from_records(train_records, corpus.source_path)
-    test = LabeledCorpus.from_records(test_records, corpus.source_path)
+    train = LabeledCorpus.from_records(train_records, corpus.sha256)
+    test = LabeledCorpus.from_records(test_records, corpus.sha256)
     return train, test

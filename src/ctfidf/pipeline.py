@@ -15,9 +15,10 @@ reproduces every metric field byte for byte.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import datetime
-import hashlib
 import json
+import operator
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,11 +41,6 @@ from .tree import (
 )
 
 SCHEMA_VERSION = 1
-
-# hyperparameters _train_model reads, per model kind
-_HYPERPARAMETERS = {"svm": ("C", "tol", "maxIter", "seed"),
-                   "dtree": ("maxDepth", "minSamplesSplit", "ccpAlpha",
-                             "seed")}
 
 
 @dataclass(frozen=True)
@@ -82,6 +78,78 @@ class ModelSpec:
     hyperparameters: dict = field(default_factory=dict)
 
 
+# The config schema, one table per section, in report.json order:
+#   JSON key -> (attribute, JSON type or the section's table[, bound])
+# A JSON type may admit null ("integer|null"). ExperimentConfig.validate()
+# checks the bounds (operator, value) and the rules that span fields;
+# SplitSpec and PreprocessConfig check their own fields. Defaults live on
+# the dataclasses only.
+_DATASET = {
+    "path": ("path", "string", "other than", ""),
+    "delimiter": ("delimiter", "string"),
+    "labelColumn": ("label_column", "integer"),
+    "textColumn": ("text_column", "integer"),
+    "hasHeader": ("has_header", "boolean"),
+    "labelMapping": ("label_mapping", "object"),
+    "quoted": ("quoted", "boolean|null"),
+    "lenient": ("lenient", "boolean"),
+    "keepEmpty": ("keep_empty", "boolean"),
+}
+_PREPROCESS = {
+    "stopwordList": ("stopword_list", "string"),
+    "stopwordHash": ("stopword_hash", "string"),
+    "removeNumbers": ("remove_numbers", "boolean"),
+    "minTokenLength": ("min_token_length", "integer"),
+}
+_REDUCE = {
+    "enabled": ("enabled", "boolean"),
+    "k": ("k", "integer", ">=", 1),
+    "tol": ("tol", "number", ">", 0),
+    "workSize": ("work_size", "integer|null"),
+    "seed": ("seed", "integer", ">=", 0),
+}
+# model kind -> its hyperparameters: JSON key -> (argument of train_svm or
+# TreeParams, JSON type, bound); "seed" defaults to split.seed
+_HYPERPARAMETERS = {
+    "svm": {"C": ("C", "number", ">", 0),
+            "tol": ("tol", "number", ">", 0),
+            "maxIter": ("max_iter", "integer", ">=", 1),
+            "seed": ("seed", "integer", ">=", 0)},
+    "dtree": {"maxDepth": ("max_depth", "integer", ">=", 0),
+              "minSamplesSplit": ("min_samples_split", "integer", ">=", 2),
+              "ccpAlpha": ("ccp_alpha", "number|null", ">=", 0),
+              "seed": ("seed", "integer", ">=", 0)},
+}
+_MODEL = {"kind": ("kind", "string", "one of", tuple(_HYPERPARAMETERS)),
+          "hyperparameters": ("hyperparameters", "object")}
+_SPLIT = {
+    "trainFraction": ("train_fraction", "number"),  # ranged by SplitSpec
+    "seed": ("seed", "integer", ">=", 0),
+    "stratified": ("stratified", "boolean"),
+}
+_EXPERIMENT = {
+    "dataset": ("dataset", _DATASET),
+    "preprocess": ("preprocess", _PREPROCESS),
+    "weighting": ("weighting_scheme", "string",
+                  "one of", tuple(s.value for s in weighting.Scheme)),
+    "ctfDense": ("ctf_dense", "boolean"),
+    "minDocFreq": ("min_doc_freq", "integer", ">=", 1),
+    "reduce": ("reduce", _REDUCE),
+    "model": ("model", _MODEL),
+    "split": ("split", _SPLIT),
+    "cvFolds": ("cv_folds", "integer", ">=", 2),
+    "positiveLabel": ("positive_label", "string"),
+    "projectScaled": ("project_scaled", "boolean"),
+    "outputDir": ("output_dir", "string"),
+}
+
+# JSON type -> the Python types json.loads gives for it
+_JSON_TYPES = {"string": (str,), "integer": (int,), "number": (int, float),
+               "boolean": (bool,), "object": (dict,), "null": (type(None),)}
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "other than": operator.ne,
+           "one of": lambda value, allowed: value in allowed}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig
@@ -99,194 +167,155 @@ class ExperimentConfig:
     project_scaled: bool = False
 
     def validate(self) -> None:
-        if not self.dataset.path:
-            raise ConfigError("dataset.path", "must be set")
-        if self.weighting_scheme not in ("tfidf", "ctfidf"):
-            raise ConfigError("weighting",
-                              f"must be tfidf or ctfidf, got "
-                              f"{self.weighting_scheme!r}")
+        """Range and consistency checks; each error names the JSON key."""
+        _check_bounds(self.resolved(), _EXPERIMENT)
+        for label, to in self.dataset.label_mapping.items():
+            _typed(to, "string", f"{_key('dataset.label_mapping')}.{label}")
         if self.ctf_dense and self.weighting_scheme != "ctfidf":
-            raise ConfigError("ctf_dense", "only valid with ctfidf weighting")
-        if self.model.kind not in _HYPERPARAMETERS:
-            raise ConfigError("model.kind",
-                              f"must be svm or dtree, got {self.model.kind!r}")
-        _reject_unknown(self.model.hyperparameters,
-                        _HYPERPARAMETERS[self.model.kind],
-                        "model.hyperparameters",
-                        f"not a {self.model.kind} hyperparameter")
-        if not 0.0 < self.split.train_fraction < 1.0:
-            raise ConfigError("split.train_fraction",
-                              f"must be in (0, 1), got "
-                              f"{self.split.train_fraction}")
-        if self.cv_folds < 2:
-            raise ConfigError("cv_folds", f"must be >= 2, got {self.cv_folds}")
-        if self.reduce.enabled:
-            if self.reduce.k < 1:
-                raise ConfigError("reduce.k", f"must be >= 1, got {self.reduce.k}")
-            if self.reduce.tol <= 0:
-                raise ConfigError("reduce.tol",
-                                  f"must be positive, got {self.reduce.tol}")
-        if self.min_doc_freq < 1:
-            raise ConfigError("min_doc_freq",
-                              f"must be >= 1, got {self.min_doc_freq}")
+            raise ConfigError(_key("ctf_dense"),
+                              "only valid with ctfidf weighting")
+        _check_bounds(_hyperparameters(self.model),
+                      _HYPERPARAMETERS[self.model.kind],
+                      _key("model.hyperparameters"))
         try:
             self.preprocess.validate()
         except ValueError as exc:
-            raise ConfigError("preprocess", str(exc)) from exc
+            raise ConfigError(_key("preprocess"), str(exc)) from exc
 
     def resolved(self) -> dict:
         """Full snapshot with every default materialized, stable order."""
-        return {
-            "dataset": {"path": self.dataset.path,
-                        "delimiter": self.dataset.delimiter,
-                        "labelColumn": self.dataset.label_column,
-                        "textColumn": self.dataset.text_column,
-                        "hasHeader": self.dataset.has_header,
-                        "labelMapping": dict(sorted(
-                            self.dataset.label_mapping.items())),
-                        "quoted": self.dataset.quoted,
-                        "lenient": self.dataset.lenient,
-                        "keepEmpty": self.dataset.keep_empty},
-            "preprocess": {"stopwordList": self.preprocess.stopword_list,
-                           "stopwordHash": self.preprocess.stopword_hash,
-                           "removeNumbers": self.preprocess.remove_numbers,
-                           "minTokenLength": self.preprocess.min_token_length},
-            "weighting": self.weighting_scheme,
-            "ctfDense": self.ctf_dense,
-            "minDocFreq": self.min_doc_freq,
-            "reduce": {"enabled": self.reduce.enabled, "k": self.reduce.k,
-                       "tol": self.reduce.tol,
-                       "workSize": self.reduce.work_size,
-                       "seed": self.reduce.seed},
-            "model": {"kind": self.model.kind,
-                      "hyperparameters": dict(sorted(
-                          self.model.hyperparameters.items()))},
-            "split": {"trainFraction": self.split.train_fraction,
-                      "seed": self.split.seed,
-                      "stratified": self.split.stratified},
-            "cvFolds": self.cv_folds,
-            "positiveLabel": self.positive_label,
-            "projectScaled": self.project_scaled,
-            "outputDir": self.output_dir,
-        }
+        return _snapshot(self, _EXPERIMENT)
 
 
-def _reject_unknown(d: dict, known, where: str = "",
-                    message: str = "unknown configuration key") -> None:
-    """Raise ConfigError naming the first key of d that is not known."""
-    extra = set(d) - set(known)
+def _key(path: str) -> str:
+    """The dotted JSON key of a dotted attribute path."""
+    table, keys = _EXPERIMENT, []
+    for attr in path.split("."):
+        keys.append(next(k for k, (a, *_) in table.items() if a == attr))
+        table = table[keys[-1]][1]
+    return ".".join(keys)
+
+
+def _typed(value, kind: str, name: str):
+    """value if its JSON type is one of kind's; numbers come back as floats."""
+    if not any(type(value) in _JSON_TYPES[t] for t in kind.split("|")):
+        raise ConfigError(name, f"must be {kind.replace('|', ' or ')}, "
+                                f"got {value!r}")
+    if isinstance(value, dict):
+        return dict(value)
+    if kind.startswith("number") and value is not None:
+        return float(value)
+    return value
+
+
+def _known(d, known, where: str = "",
+           message: str = "unknown configuration key") -> dict:
+    """d, if it is a JSON object with only known keys."""
+    if type(d) is not dict:
+        raise ConfigError(where or "config", "must be an object")
+    extra = sorted(set(d) - set(known))
     if extra:
-        name = sorted(extra)[0]
-        raise ConfigError(f"{where}.{name}" if where else name, message)
+        name = f"{where}.{extra[0]}" if where else extra[0]
+        raise ConfigError(name, message)
+    return d
 
 
-def _section(d: dict, name: str, known) -> dict:
-    """The object under d[name] ({} when absent), with only known keys."""
-    sec = d.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(name, "must be an object")
-    _reject_unknown(sec, known, name)
-    return sec
+def _patched(obj, table: dict, d, where: str = ""):
+    """obj with the fields that JSON object d sets, each type-checked."""
+    for key, value in _known(d, table, where).items():
+        attr, kind, *_ = table[key]
+        name = f"{where}.{key}" if where else key
+        value = (_patched(getattr(obj, attr), kind, value, name)
+                 if isinstance(kind, dict) else _typed(value, kind, name))
+        try:
+            obj = dataclasses.replace(obj, **{attr: value})
+        except ValueError as exc:  # a dataclass checking its own field
+            raise ConfigError(name, str(exc)) from exc
+    return obj
+
+
+def _snapshot(obj, table: dict) -> dict:
+    out = {}
+    for key, (attr, kind, *_) in table.items():
+        value = getattr(obj, attr)
+        if isinstance(kind, dict):
+            value = _snapshot(value, kind)
+        elif isinstance(value, dict):
+            value = dict(sorted(value.items()))
+        out[key] = value
+    return out
+
+
+def _check_bounds(values: dict, table: dict, where: str = "") -> None:
+    """Raise ConfigError naming the first value outside its field's bound."""
+    for key, (_, kind, *bound) in table.items():
+        name, value = f"{where}.{key}" if where else key, values.get(key)
+        if isinstance(kind, dict):
+            _check_bounds(value, kind, name)
+        elif bound and value is not None and not _BOUNDS[bound[0]](value,
+                                                                   bound[1]):
+            raise ConfigError(name, f"must be {bound[0]} {bound[1]!r}, "
+                                    f"got {value!r}")
+
+
+def _hyperparameters(model: ModelSpec) -> dict:
+    """The model's hyperparameters by JSON key, names and types checked."""
+    where = _key("model.hyperparameters")
+    table = _HYPERPARAMETERS[model.kind]
+    _known(model.hyperparameters, table, where,
+           f"not a {model.kind} hyperparameter")
+    return {key: _typed(value, table[key][1], f"{where}.{key}")
+            for key, value in model.hyperparameters.items()}
 
 
 def config_from_dict(d: dict, base_dir: str | Path = ".") -> ExperimentConfig:
-    """Build a config from parsed JSON, rejecting unknown keys at every level.
+    """Build a config from parsed JSON; unknown keys and values of the wrong
+    JSON type fail here, ranges and hyperparameters (whose names depend on
+    the model kind) in :meth:`ExperimentConfig.validate`."""
+    # an unset dataset.path stays "", which validate() rejects
+    config = _patched(ExperimentConfig(DatasetConfig(path="")), _EXPERIMENT, d)
+    path = config.dataset.path
+    if path and not Path(path).is_absolute():
+        config = dataclasses.replace(config, dataset=dataclasses.replace(
+            config.dataset, path=str(Path(base_dir) / path)))
+    return config
 
-    Hyperparameter names depend on the model kind, and are checked by
-    :meth:`ExperimentConfig.validate`.
+
+def load_config(path: str | Path,
+                overrides: dict | None = None) -> ExperimentConfig:
+    """Read a JSON config file, then :func:`config_from_dict`.
+
+    ``overrides`` maps dotted JSON keys to values that replace the file's
+    before it is parsed. Text given for a field that is not a string is read
+    as JSON, so it gets the same checks as a value in the file.
     """
-    _reject_unknown(d, ("dataset", "preprocess", "weighting", "ctfDense",
-                        "minDocFreq", "reduce", "model", "split", "cvFolds",
-                        "positiveLabel", "projectScaled", "outputDir"))
-    ds = _section(d, "dataset", ("path", "delimiter", "labelColumn",
-                                 "textColumn", "hasHeader", "labelMapping",
-                                 "quoted", "lenient", "keepEmpty"))
-    if "path" not in ds:
-        raise ConfigError("dataset", "must be an object with a 'path'")
-    path = Path(ds["path"])
-    if not path.is_absolute():
-        path = Path(base_dir) / path
-    dataset = DatasetConfig(path=str(path),
-                            delimiter=ds.get("delimiter", "\t"),
-                            label_column=int(ds.get("labelColumn", 0)),
-                            text_column=int(ds.get("textColumn", 1)),
-                            has_header=bool(ds.get("hasHeader", False)),
-                            label_mapping=dict(ds.get("labelMapping", {})),
-                            quoted=ds.get("quoted"),
-                            lenient=bool(ds.get("lenient", False)),
-                            keep_empty=bool(ds.get("keepEmpty", False)))
-    pp = _section(d, "preprocess",
-                  ("stopwordList", "removeNumbers", "minTokenLength"))
-    pre_kwargs = {}
-    if "stopwordList" in pp:
-        pre_kwargs["stopword_list"] = str(pp["stopwordList"])
-    if "removeNumbers" in pp:
-        pre_kwargs["remove_numbers"] = bool(pp["removeNumbers"])
-    if "minTokenLength" in pp:
-        pre_kwargs["min_token_length"] = int(pp["minTokenLength"])
-    preprocess = PreprocessConfig(**pre_kwargs)
-    rd = _section(d, "reduce", ("enabled", "k", "tol", "workSize", "seed"))
-    reduce_cfg = ReduceConfig(enabled=bool(rd.get("enabled", True)),
-                              k=int(rd.get("k", 300)),
-                              tol=float(rd.get("tol", 1e-5)),
-                              work_size=rd.get("workSize"),
-                              seed=int(rd.get("seed", 0)))
-    md = _section(d, "model", ("kind", "hyperparameters"))
-    model = ModelSpec(kind=md.get("kind", "svm"),
-                      hyperparameters=dict(md.get("hyperparameters", {})))
-    spl = _section(d, "split", ("trainFraction", "seed", "stratified"))
-    frac = float(spl.get("trainFraction", 0.7))
-    if not 0.0 < frac < 1.0:
-        raise ConfigError("split.trainFraction",
-                          f"must be in (0, 1), got {frac}")
-    split_spec = ingest.SplitSpec(train_fraction=frac,
-                                  seed=int(spl.get("seed", 0)),
-                                  stratified=bool(spl.get("stratified", True)))
-    return ExperimentConfig(dataset=dataset, preprocess=preprocess,
-                            weighting_scheme=d.get("weighting", "ctfidf"),
-                            ctf_dense=bool(d.get("ctfDense", False)),
-                            min_doc_freq=int(d.get("minDocFreq", 1)),
-                            reduce=reduce_cfg, model=model, split=split_spec,
-                            cv_folds=int(d.get("cvFolds", 10)),
-                            positive_label=d.get("positiveLabel", "spam"),
-                            output_dir=d.get("outputDir", "runs/experiment"),
-                            project_scaled=bool(d.get("projectScaled", False)))
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+    for dotted, value in (overrides or {}).items():
+        *sections, key = dotted.split(".")
+        target, table, where = raw, _EXPERIMENT, ""
+        for section in sections:
+            target = _known(target, table, where).setdefault(section, {})
+            table, where = table[section][1], section
+        if isinstance(value, str) and "string" not in table[key][1]:
+            with contextlib.suppress(json.JSONDecodeError):
+                value = json.loads(value)
+        _known(target, table, where)[key] = value
     return config_from_dict(raw, base_dir=path.parent)
 
 
-def _file_sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _model_seed(config: ExperimentConfig) -> int:
-    return int(config.model.hyperparameters.get("seed", config.split.seed))
-
-
 def _train_model(config: ExperimentConfig, X, y: list[str]):
-    hp = config.model.hyperparameters
-    seed = _model_seed(config)
+    table = _HYPERPARAMETERS[config.model.kind]
+    hp = {table[key][0]: value
+          for key, value in _hyperparameters(config.model).items()}
+    seed = hp.pop("seed", config.split.seed)
     if config.model.kind == "svm":
-        model = train_svm(X, y, C=float(hp.get("C", 1.0)),
-                          tol=float(hp.get("tol", 1e-4)),
-                          max_iter=int(hp.get("maxIter", 100_000)), seed=seed)
-    else:
-        params = TreeParams(max_depth=int(hp.get("maxDepth", 30)),
-                            min_samples_split=int(hp.get("minSamplesSplit", 2)),
-                            ccp_alpha=hp.get("ccpAlpha"))
-        model = train_dtree(X, y, params, cv_folds=config.cv_folds, seed=seed)
-    return model
+        return train_svm(X, y, seed=seed, **hp)
+    return train_dtree(X, y, TreeParams(**hp), cv_folds=config.cv_folds,
+                       seed=seed)
 
 
 @contextlib.contextmanager
@@ -362,7 +391,6 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         cm = confusion(y_test, y_pred, config.positive_label)
         frag = metrics(cm)
 
-    fingerprint = _file_sha256(config.dataset.path)
     snapshot = config.resolved()
     extras = {
         "positiveLabel": config.positive_label,
@@ -377,7 +405,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     report = EvalReport(schema_version=SCHEMA_VERSION, confusion_matrix=cm,
                         metric=frag, train_time_ms=train_ms,
                         reduce_time_ms=reduce_ms, config_snapshot=snapshot,
-                        dataset_fingerprint=fingerprint, extras=extras)
+                        dataset_fingerprint=corpus.sha256, extras=extras)
 
     _write_json(out_dir / "report.json", report.to_dict())
     vocab_doc = {

@@ -67,6 +67,8 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
         raise SingleClassError(f"need exactly 2 classes, got {labels}")
     if C <= 0:
         raise ValueError(f"C must be positive, got {C}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = X.shape[0]
     if n != len(y):
         raise DimensionMismatchError(

@@ -401,7 +401,7 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
     cv_scores: dict[float, float] = {}
     if params.ccp_alpha is None:
         fold_f1 = {a: [] for a in CCP_ALPHA_GRID}
-        folds = kfold_indices(len(y), cv_folds, seed, stratify_labels=y)
+        folds = kfold_indices(y, cv_folds, seed)
         all_idx = np.arange(len(y))
         for test_idx in folds:
             test_mask = np.zeros(len(y), dtype=bool)

@@ -36,3 +36,44 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
     return path
+
+
+# (config patch, the dotted JSON key its ConfigError names): values of the
+# wrong JSON type or out of range, each rejected before the dataset is read
+BAD_VALUES = [
+    ({"dataset": {"hasHeader": "false"}}, "dataset.hasHeader"),
+    ({"dataset": {"labelMapping": {"spam": 1}}}, "dataset.labelMapping.spam"),
+    ({"split": {"stratified": "no"}}, "split.stratified"),
+    ({"split": {"seed": -1}}, "split.seed"),
+    ({"cvFolds": 2.7}, "cvFolds"),
+    ({"cvFolds": 1}, "cvFolds"),
+    ({"minDocFreq": 0}, "minDocFreq"),
+    ({"reduce": {"k": "x"}}, "reduce.k"),
+    ({"reduce": {"workSize": "big"}}, "reduce.workSize"),
+    ({"reduce": {"seed": -1}}, "reduce.seed"),
+    ({"preprocess": {"stopwordHash": "0" * 64}}, "preprocess"),
+    ({"model": {"hyperparameters": {"C": "abc"}}}, "model.hyperparameters.C"),
+    ({"model": {"hyperparameters": {"C": 0}}}, "model.hyperparameters.C"),
+    ({"model": {"hyperparameters": {"tol": -1}}},
+     "model.hyperparameters.tol"),
+    ({"model": {"hyperparameters": {"maxIter": 0}}},
+     "model.hyperparameters.maxIter"),
+    ({"model": {"hyperparameters": {"seed": -1}}},
+     "model.hyperparameters.seed"),
+    ({"model": {"kind": "dtree", "hyperparameters": {"maxDepth": -1}}},
+     "model.hyperparameters.maxDepth"),
+    ({"model": {"kind": "dtree", "hyperparameters": {"minSamplesSplit": 1}}},
+     "model.hyperparameters.minSamplesSplit"),
+    ({"model": {"kind": "dtree", "hyperparameters": {"ccpAlpha": -0.1}}},
+     "model.hyperparameters.ccpAlpha"),
+]
+
+
+def merged(cfg, patch):
+    """A copy of cfg with the objects of patch merged in, key by key."""
+    out = json.loads(json.dumps(cfg))
+    for key, value in patch.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = merged(out[key], value)
+        out[key] = value
+    return out

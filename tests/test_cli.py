@@ -2,11 +2,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from ctfidf.cli import main
 
-from conftest import write_config
+from conftest import BAD_VALUES, merged, write_config
 
 
 class TestRun:
@@ -45,6 +46,28 @@ class TestRun:
         assert report["config"]["split"]["trainFraction"] == 0.6
         assert report["config"]["cvFolds"] == 2
         assert report["positiveLabel"] == "ham"
+
+    @pytest.mark.parametrize("patch, field", BAD_VALUES)
+    def test_bad_value_exit_two(self, base_config, tmp_path, capsys, patch,
+                                field):
+        cfg = merged(base_config, patch)
+        cfg["dataset"]["path"] = str(tmp_path / "absent.tsv")  # would exit 1
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--train-frac", "1.5", "split.trainFraction"),
+        ("--train-frac", "abc", "split.trainFraction"),
+        ("--folds", "2.7", "cvFolds"),
+        ("--k", "x", "reduce.k"),
+        ("--seed", "-1", "reduce.seed"),
+    ])
+    def test_flag_value_gets_file_checks(self, base_config, tmp_path, capsys,
+                                         flag, value, field):
+        base_config["dataset"]["path"] = str(tmp_path / "absent.tsv")
+        path = write_config(tmp_path, base_config)
+        assert main(["run", "--config", str(path), flag, value]) == 2
+        assert f"{field}:" in capsys.readouterr().err
 
     def test_k_override(self, base_config, tmp_path):
         path = write_config(tmp_path, base_config)

@@ -95,21 +95,21 @@ class TestMetrics:
 
 class TestKfold:
     def test_even_folds(self):
-        folds = kfold_indices(100, 10, seed=0)
+        folds = kfold_indices(["ham"] * 64 + ["spam"] * 36, 10, seed=0)
         assert [len(f) for f in folds] == [10] * 10
 
     def test_uneven_folds(self):
-        folds = kfold_indices(10, 3, seed=0)
+        folds = kfold_indices(["a"] * 7 + ["b"] * 3, 3, seed=0)
         assert sorted(len(f) for f in folds) == [3, 3, 4]
 
     def test_partition(self):
-        folds = kfold_indices(57, 7, seed=3)
+        folds = kfold_indices(["a", "b", "b"] * 19, 7, seed=3)
         flat = np.concatenate(folds)
         assert sorted(flat.tolist()) == list(range(57))
 
     def test_stratified_exact_ratio(self):
         labels = ["ham"] * 70 + ["spam"] * 30
-        folds = kfold_indices(100, 10, seed=1, stratify_labels=labels)
+        folds = kfold_indices(labels, 10, seed=1)
         for f in folds:
             got = [labels[i] for i in f]
             assert got.count("ham") == 7
@@ -117,7 +117,7 @@ class TestKfold:
 
     def test_stratified_within_one(self):
         labels = ["a"] * 53 + ["b"] * 17
-        folds = kfold_indices(70, 4, seed=2, stratify_labels=labels)
+        folds = kfold_indices(labels, 4, seed=2)
         sizes = [len(f) for f in folds]
         assert max(sizes) - min(sizes) <= 1
         for f in folds:
@@ -127,20 +127,20 @@ class TestKfold:
 
     def test_determinism(self):
         labels = ["a"] * 30 + ["b"] * 20
-        a = kfold_indices(50, 5, seed=9, stratify_labels=labels)
-        b = kfold_indices(50, 5, seed=9, stratify_labels=labels)
+        a = kfold_indices(labels, 5, seed=9)
+        b = kfold_indices(labels, 5, seed=9)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_invalid_k(self):
         with pytest.raises(InvalidKError):
-            kfold_indices(5, 1, seed=0)
+            kfold_indices(["a", "b"] * 3, 1, seed=0)
         with pytest.raises(InvalidKError):
-            kfold_indices(5, 6, seed=0)
+            kfold_indices(["a", "b"] * 3, 7, seed=0)
 
     def test_thin_label_warns(self):
         labels = ["a"] * 19 + ["b"]
         with pytest.warns(UserWarning, match="fewer than"):
-            kfold_indices(20, 4, seed=0, stratify_labels=labels)
+            kfold_indices(labels, 4, seed=0)
 
 
 class TestTimeTrain:

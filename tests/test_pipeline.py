@@ -6,6 +6,8 @@ import pytest
 
 from ctfidf.exceptions import ConfigError, UnsupportedModelError
 from ctfidf.pipeline import (
+    _EXPERIMENT,
+    _HYPERPARAMETERS,
     compare,
     comparison_table,
     config_from_dict,
@@ -14,11 +16,31 @@ from ctfidf.pipeline import (
     run_experiment,
 )
 
-from conftest import write_config
+from conftest import BAD_VALUES, merged, write_config
 
 
 VOLATILE = ("trainTimeMs", "reduceTimeMs", "timestamp", "machine",
             "svdRestarts")
+
+# one value of each JSON type; "array" is no field's type
+SAMPLES = ("x", 7, 0.5, True, None, {}, [])
+JSON_TYPE = {str: "string", int: "integer", float: "number", bool: "boolean",
+             type(None): "null", dict: "object", list: "array"}
+
+
+def admits(kind, sample):
+    kinds = kind.split("|")
+    t = JSON_TYPE[type(sample)]
+    return t in kinds or (t == "integer" and "number" in kinds)
+
+
+def schema_keys(table, where=()):
+    """(dotted key path, JSON type) of every field and section."""
+    for key, (_, kind, *_) in table.items():
+        path = where + (key,)
+        yield path, "object" if isinstance(kind, dict) else kind
+        if isinstance(kind, dict):
+            yield from schema_keys(kind, path)
 
 
 def scrub(report_dict):
@@ -77,6 +99,53 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             config_from_dict(base_config).validate()
         assert "smart" in str(err.value)
+
+    def test_every_key_rejects_other_json_types(self, base_config):
+        checked = 0
+        for path, kind in schema_keys(_EXPERIMENT):
+            for sample in SAMPLES:
+                if admits(kind, sample):
+                    continue
+                cfg = json.loads(json.dumps(base_config))
+                target = cfg
+                for section in path[:-1]:
+                    target = target.setdefault(section, {})
+                target[path[-1]] = sample
+                with pytest.raises(ConfigError) as err:
+                    config_from_dict(cfg)
+                assert err.value.field == ".".join(path), (path, sample)
+                checked += 1
+        for kind, table in _HYPERPARAMETERS.items():
+            for key, (_, json_type, *_) in table.items():
+                for sample in SAMPLES:
+                    if admits(json_type, sample):
+                        continue
+                    base_config["model"] = {"kind": kind,
+                                            "hyperparameters": {key: sample}}
+                    with pytest.raises(ConfigError) as err:
+                        config_from_dict(base_config).validate()
+                    assert err.value.field == f"model.hyperparameters.{key}"
+                    checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("patch, field", BAD_VALUES)
+    def test_bad_value_names_key_before_ingest(self, base_config, tmp_path,
+                                               patch, field):
+        cfg = merged(base_config, patch)
+        # reading the dataset would raise FileNotFoundError
+        cfg["dataset"]["path"] = str(tmp_path / "absent.tsv")
+        with pytest.raises(ConfigError) as err:
+            run_experiment(config_from_dict(cfg))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("kind", ["svm", "dtree"])
+    def test_report_config_round_trips(self, base_config, kind):
+        base_config["model"] = {"kind": kind}
+        run_experiment(config_from_dict(base_config))
+        report = json.loads((Path(base_config["outputDir"]) / "report.json")
+                            .read_text())
+        assert config_from_dict(report["config"]).resolved() == \
+            report["config"]
 
     def test_bad_weighting(self, base_config):
         base_config["weighting"] = "bm25"

@@ -83,6 +83,11 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_svm(X, y, C=0.0)
 
+    def test_zero_passes_rejected(self):
+        X, y = clouds(seed=12)
+        with pytest.raises(ValueError, match="max_iter"):
+            train_svm(X, y, max_iter=0)
+
     def test_no_convergence_payload(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((60, 4))
