@@ -41,7 +41,6 @@ from .preprocess import (
     ProcessedDoc,
     load_stopwords,
     preprocess_corpus,
-    preprocess_doc,
     remove_stopwords,
     tokenize,
 )

@@ -20,7 +20,7 @@ import numpy as np
 from . import pipeline
 from .exceptions import ConfigError, CtfidfError
 from .irlba import IrlbaConfig, irlba
-from .preprocess import PreprocessConfig, preprocess_doc, tokenize
+from .preprocess import preprocess_corpus, tokenize
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
@@ -40,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--reduce", choices=["none", "irlba"])
     run.add_argument("--k", help="number of singular vectors")
     run.add_argument("--model", choices=["dtree", "svm"])
-    run.add_argument("--seed",
-                     help="master seed: overrides split, SVD, and learner seeds")
+    run.add_argument("--seed", help="master seed: sets split.seed, reduce.seed "
+                                    "and model.hyperparameters.seed")
     run.add_argument("--train-frac")
     run.add_argument("--folds")
     run.add_argument("--positive-label")
@@ -84,6 +84,7 @@ def _overrides(args: argparse.Namespace) -> dict:
              "reduce.k": args.k, "model.kind": args.model,
              "split.trainFraction": args.train_frac,
              "split.seed": args.seed, "reduce.seed": args.seed,
+             "model.hyperparameters.seed": args.seed,
              "cvFolds": args.folds, "positiveLabel": args.positive_label,
              "outputDir": args.out, "ctfDense": args.ctf_dense or None,
              "projectScaled": args.project_scaled or None}
@@ -123,10 +124,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_stem(args: argparse.Namespace) -> int:
-    config = PreprocessConfig()
-    doc = preprocess_doc(args.text, config)
     payload = {"text": args.text, "tokens": tokenize(args.text),
-               "stems": list(doc.stems)}
+               "stems": list(preprocess_corpus([args.text])[0].stems)}
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

@@ -58,22 +58,16 @@ def build_dfm(docs: list[ProcessedDoc], vocab: Vocabulary) -> sp.csr_matrix:
     Out-of-vocabulary stems at apply time have no IDF statistic, so they
     contribute nothing (fit-on-train, apply-on-test discipline).
     """
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
     t2i = vocab.term_to_index
-    for i, doc in enumerate(docs):
-        counts = Counter(doc.stems)
-        for stem, c in counts.items():
-            j = t2i.get(stem)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(c)
-    X = sp.csr_matrix(
-        (np.asarray(vals, dtype=np.float64),
-         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(len(docs), len(vocab)))
+    cols = np.fromiter((t2i.get(s, -1) for doc in docs for s in doc.stems),
+                       dtype=np.int64)
+    known = cols >= 0
+    # a row's entries end where its stems end, counting known stems only
+    stems_end = np.cumsum([0] + [len(doc.stems) for doc in docs])
+    indptr = np.concatenate(([0], np.cumsum(known)))[stems_end]
+    # an entry of 1 per occurrence; summing the duplicates gives the counts
+    X = sp.csr_matrix((np.ones(indptr[-1]), cols[known], indptr),
+                      shape=(len(docs), len(vocab)))
     X.sum_duplicates()
     X.sort_indices()
     return X

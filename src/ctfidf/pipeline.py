@@ -87,8 +87,8 @@ class ModelSpec:
 _DATASET = {
     "path": ("path", "string", "other than", ""),
     "delimiter": ("delimiter", "string"),
-    "labelColumn": ("label_column", "integer"),
-    "textColumn": ("text_column", "integer"),
+    "labelColumn": ("label_column", "integer", ">=", 0),
+    "textColumn": ("text_column", "integer", ">=", 0),
     "hasHeader": ("has_header", "boolean"),
     "labelMapping": ("label_mapping", "object"),
     "quoted": ("quoted", "boolean|null"),
@@ -174,6 +174,10 @@ class ExperimentConfig:
         if self.ctf_dense and self.weighting_scheme != "ctfidf":
             raise ConfigError(_key("ctf_dense"),
                               "only valid with ctfidf weighting")
+        work, k = self.reduce.work_size, self.reduce.k
+        if work is not None and work <= k:
+            raise ConfigError(_key("reduce.work_size"),
+                              f"must be > reduce.k ({k}), got {work}")
         _check_bounds(_hyperparameters(self.model),
                       _HYPERPARAMETERS[self.model.kind],
                       _key("model.hyperparameters"))
@@ -299,11 +303,14 @@ def load_config(path: str | Path,
         target, table, where = raw, _EXPERIMENT, ""
         for section in sections:
             target = _known(target, table, where).setdefault(section, {})
-            table, where = table[section][1], section
-        if isinstance(value, str) and "string" not in table[key][1]:
+            table, where = table[section][1], f"{where}.{section}".lstrip(".")
+        # hyperparameters are a plain object here, and none of them is text
+        kind = table[key][1] if isinstance(table, dict) else "number"
+        if isinstance(value, str) and "string" not in kind:
             with contextlib.suppress(json.JSONDecodeError):
                 value = json.loads(value)
-        _known(target, table, where)[key] = value
+        known = table if isinstance(table, dict) else target
+        _known(target, known, where)[key] = value
     return config_from_dict(raw, base_dir=path.parent)
 
 

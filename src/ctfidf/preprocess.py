@@ -3,7 +3,10 @@
 The stage order is fixed: tokenize (lowercased) -> stopword filter ->
 optional number filter -> length filter -> stem. Stopwords are matched
 against tokens as written, before stemming, so the shipped (unstemmed)
-word list applies directly.
+word list applies directly. The filters and the stemmer see one token at
+a time, so :func:`preprocess_corpus` decides each distinct token once, in a
+dict that the call owns: the cache is per call, so each call pays for its
+own stemming and no process-wide state exists for a long stream to grow.
 """
 
 from __future__ import annotations
@@ -78,30 +81,28 @@ def remove_stopwords(tokens: list[str], stopwords: frozenset[str]) -> list[str]:
     return [t for t in tokens if t not in stopwords]
 
 
-def preprocess_doc(text: str, config: PreprocessConfig,
-                   original_index: int = 0,
-                   stopwords: frozenset[str] | None = None) -> ProcessedDoc:
-    """Run the full pipeline on one document.
+def preprocess_corpus(texts: list[str],
+                      config: PreprocessConfig | None = None) -> list[ProcessedDoc]:
+    """Run the full pipeline on every text, preserving order.
 
     A document that loses every token is kept as an empty doc so row
     indices stay aligned with labels downstream.
     """
-    if stopwords is None:
-        stopwords = load_stopwords()
-    tokens = remove_stopwords(tokenize(text), stopwords)
-    if config.remove_numbers:
-        tokens = [t for t in tokens if not t.isdigit()]
-    if config.min_token_length > 1:
-        tokens = [t for t in tokens if len(t) >= config.min_token_length]
-    return ProcessedDoc(tuple(porter_stem(t) for t in tokens), original_index)
-
-
-def preprocess_corpus(texts: list[str],
-                      config: PreprocessConfig | None = None) -> list[ProcessedDoc]:
-    """Apply :func:`preprocess_doc` to every text, preserving order."""
     if config is None:
         config = PreprocessConfig()
     config.validate()
     stopwords = load_stopwords()
-    return [preprocess_doc(t, config, i, stopwords)
-            for i, t in enumerate(texts)]
+    memo: dict[str, str | None] = {}  # token -> its stem, None if dropped
+
+    def stem(token: str) -> str | None:
+        dropped = (token in stopwords
+                   or (config.remove_numbers and token.isdigit())
+                   or len(token) < config.min_token_length)
+        memo[token] = None if dropped else porter_stem(token)
+        return memo[token]
+
+    docs = []
+    for i, text in enumerate(texts):
+        stems = [memo[t] if t in memo else stem(t) for t in tokenize(text)]
+        docs.append(ProcessedDoc(tuple(s for s in stems if s is not None), i))
+    return docs

@@ -66,6 +66,9 @@ BAD_VALUES = [
      "model.hyperparameters.minSamplesSplit"),
     ({"model": {"kind": "dtree", "hyperparameters": {"ccpAlpha": -0.1}}},
      "model.hyperparameters.ccpAlpha"),
+    ({"dataset": {"labelColumn": -1}}, "dataset.labelColumn"),
+    ({"dataset": {"textColumn": -2}}, "dataset.textColumn"),
+    ({"reduce": {"k": 10, "workSize": 10}}, "reduce.workSize"),
 ]
 
 

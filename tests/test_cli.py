@@ -47,6 +47,23 @@ class TestRun:
         assert report["config"]["cvFolds"] == 2
         assert report["positiveLabel"] == "ham"
 
+    def test_seed_flag_sets_every_seed(self, base_config, tmp_path):
+        base_config["model"]["hyperparameters"] = {"seed": 5}
+        path = write_config(tmp_path, base_config)
+        assert main(["run", "--config", str(path), "--seed", "9"]) == 0
+        report = Path(base_config["outputDir"]) / "report.json"
+        config = json.loads(report.read_text())["config"]
+        assert config["split"]["seed"] == config["reduce"]["seed"] == 9
+        assert config["model"]["hyperparameters"] == {"seed": 9}
+
+    def test_seed_flag_needs_hyperparameters_object(self, base_config,
+                                                    tmp_path, capsys):
+        base_config["model"]["hyperparameters"] = [5]
+        path = write_config(tmp_path, base_config)
+        assert main(["run", "--config", str(path), "--seed", "9"]) == 2
+        assert "model.hyperparameters: must be an object" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("patch, field", BAD_VALUES)
     def test_bad_value_exit_two(self, base_config, tmp_path, capsys, patch,
                                 field):

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctfidf.dfm import build_dfm, build_vocabulary
 from ctfidf.exceptions import EmptyVocabularyError
@@ -89,3 +93,26 @@ class TestBuildDfm:
         vocab = build_vocabulary(docs_from(lists))
         X = build_dfm(docs_from(lists), vocab)
         assert X.toarray().tolist() == [[1, 0], [0, 1], [1, 1]]
+
+
+def stem_lists(alphabet):
+    """Documents of stems from a small alphabet, so stems repeat."""
+    return st.lists(st.lists(st.sampled_from(alphabet), max_size=10),
+                    max_size=8)
+
+
+# "f" and "g" are never fitted, so they are out of vocabulary
+@given(fit=stem_lists("abcde").filter(any), apply=stem_lists("abcdefg"))
+def test_counts_match_counter_reference(fit, apply):
+    vocab = build_vocabulary(docs_from(fit))
+    X = build_dfm(docs_from(apply), vocab)
+    expected = np.zeros((len(apply), len(vocab)))
+    for i, stems in enumerate(apply):
+        for stem, count in Counter(stems).items():
+            if stem in vocab.term_to_index:
+                expected[i, vocab.term_to_index[stem]] = count
+    assert X.shape == expected.shape
+    assert np.array_equal(X.toarray(), expected)
+    assert X.has_canonical_format
+    assert X.nnz == np.count_nonzero(expected)
+    assert X.data.dtype == np.float64

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctfidf import preprocess
+from ctfidf.porter import porter_stem
 from ctfidf.preprocess import (
     PreprocessConfig,
     load_stopwords,
-    preprocess_doc,
     preprocess_corpus,
     remove_stopwords,
     stopword_list_hash,
@@ -71,28 +72,29 @@ class TestStopwords:
 
 class TestPreprocessDoc:
     def test_spec_composition(self):
-        doc = preprocess_doc("You have WON a guaranteed prize",
-                             PreprocessConfig())
+        [doc] = preprocess_corpus(["You have WON a guaranteed prize"],
+                                  PreprocessConfig())
         assert list(doc.stems) == ["won", "guarante", "prize"]
 
     def test_all_stopwords_becomes_empty(self):
-        doc = preprocess_doc("you are the... the the", PreprocessConfig())
+        [doc] = preprocess_corpus(["you are the... the the"],
+                                  PreprocessConfig())
         assert doc.stems == ()
 
     def test_single_stem_fixed_point(self):
-        doc = preprocess_doc("prize", PreprocessConfig())
+        [doc] = preprocess_corpus(["prize"], PreprocessConfig())
         assert list(doc.stems) == ["prize"]
 
     def test_remove_numbers_flag(self):
-        keep = preprocess_doc("call 0800 now", PreprocessConfig())
-        drop = preprocess_doc("call 0800 now",
-                              PreprocessConfig(remove_numbers=True))
+        [keep] = preprocess_corpus(["call 0800 now"], PreprocessConfig())
+        [drop] = preprocess_corpus(["call 0800 now"],
+                                   PreprocessConfig(remove_numbers=True))
         assert "0800" in keep.stems
         assert "0800" not in drop.stems
 
     def test_min_token_length(self):
         cfg = PreprocessConfig(min_token_length=4)
-        doc = preprocess_doc("win big prizes now", cfg)
+        [doc] = preprocess_corpus(["win big prizes now"], cfg)
         assert "win" not in doc.stems
         assert "big" not in doc.stems
 
@@ -112,3 +114,54 @@ class TestPreprocessDoc:
         assert docs[0].stems == ()
         assert docs[2].stems == ()
         assert [d.original_index for d in docs] == [0, 1, 2]
+
+    def test_stems_each_distinct_kept_token_once(self, monkeypatch):
+        calls = []
+
+        def counting_stem(token):
+            calls.append(token)
+            return porter_stem(token)
+
+        monkeypatch.setattr(preprocess, "porter_stem", counting_stem)
+        texts = ["Win a prize, WIN big prizes", "the prize is yours 0800",
+                 "win win 0800 prizes", ""]
+        config = PreprocessConfig(remove_numbers=True)
+        docs = preprocess_corpus(texts, config)
+        assert sorted(calls) == ["big", "prize", "prizes", "win"]
+        assert [d.stems for d in docs] == [
+            ("win", "prize", "win", "big", "prize"), ("prize",),
+            ("win", "win", "prize"), ()]
+        # the cache belongs to one call: the next call stems afresh
+        preprocess_corpus(texts[:1], config)
+        assert sorted(calls[4:]) == ["big", "prize", "prizes", "win"]
+
+
+# a small vocabulary so that tokens repeat within and across texts: words
+# that Porter rewrites, stopwords, digit runs, mixed and short tokens
+WORDS = ("prizes", "prize", "winning", "won", "the", "is", "you", "a", "i",
+         "0800", "42", "win2day", "cafés", "txt", "ok", "relational",
+         "generalization", "hopping")
+TEXTS = st.lists(st.lists(st.sampled_from(WORDS), max_size=12).map(
+    lambda words: " ".join(words).upper()
+    if len(words) % 3 == 0 else ", ".join(words)), max_size=8)
+
+
+@pytest.mark.parametrize("remove_numbers", [False, True])
+@pytest.mark.parametrize("min_length", [1, 3])
+@given(texts=TEXTS)
+def test_corpus_matches_per_token_reference(remove_numbers, min_length,
+                                            texts):
+    config = PreprocessConfig(remove_numbers=remove_numbers,
+                              min_token_length=min_length)
+    stopwords = load_stopwords()
+
+    def kept(token):
+        return (token not in stopwords
+                and not (remove_numbers and token.isdigit())
+                and len(token) >= min_length)
+
+    expected = [tuple(porter_stem(t) for t in tokenize(text) if kept(t))
+                for text in texts]
+    docs = preprocess_corpus(texts, config)
+    assert [d.stems for d in docs] == expected
+    assert [d.original_index for d in docs] == list(range(len(texts)))
