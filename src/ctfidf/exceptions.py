@@ -84,6 +84,7 @@ class ConfigError(CtfidfError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
 
 

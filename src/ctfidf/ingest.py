@@ -12,7 +12,7 @@ import hashlib
 import io
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -23,14 +23,12 @@ import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import dfm, ingest, weighting
 from .evaluation import EvalReport, confusion, metrics, time_train
 from .exceptions import ConfigError, CtfidfError, UnsupportedModelError
 from .irlba import IrlbaConfig, SvdFactors, irlba, project, save_factors
 from .preprocess import PreprocessConfig, preprocess_corpus
-from .svm import SvmModel, predict_svm, train_svm
+from .svm import predict_svm, train_svm
 from .tree import (
     DecisionTreeModel,
     FeatureImportanceReport,
@@ -350,6 +348,10 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         if config.dataset.label_mapping:
             corpus = ingest.normalize_labels(corpus,
                                              config.dataset.label_mapping)
+        if config.positive_label not in corpus.label_set:
+            raise ConfigError(_key("positive_label"),
+                              f"{config.positive_label!r} not among labels "
+                              f"{sorted(corpus.label_set)}")
         train, test = ingest.split(corpus, config.split)
 
     with _stage("preprocess"):
@@ -379,7 +381,11 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             effective_k = min(config.reduce.k, max_k)
             cfg = IrlbaConfig(k=effective_k, work_size=config.reduce.work_size,
                               tol=config.reduce.tol, seed=config.reduce.seed)
-            factors, reduce_ms = time_train(lambda: irlba(X_train, cfg))
+            try:
+                factors, reduce_ms = time_train(lambda: irlba(X_train, cfg))
+            except ConfigError as exc:  # IrlbaConfig names its own fields
+                raise ConfigError(_key(f"reduce.{exc.field}"),
+                                  exc.message) from exc
             F_train = project(X_train, factors, scaled=config.project_scaled)
             F_test = project(X_test, factors, scaled=config.project_scaled)
         else:

@@ -9,197 +9,130 @@ reproduced here:
 * step 2 maps ``bli`` to ``ble`` (the paper had ``abli`` to ``able``),
 * step 2 includes the extra rule ``logi`` to ``log``.
 
-Only lowercase ASCII-alphabetic tokens are stemmed; anything else (digit
-runs, mixed tokens, non-ASCII) passes through unchanged.
+Only ASCII-alphabetic tokens are stemmed, and the rules expect them in
+lowercase (an uppercase letter counts as a consonant); anything else
+(digit runs, mixed tokens, non-ASCII) passes through unchanged.
+
+Each step is a function from word to word on plain strings. Suffixes are
+tested with ``str.endswith``, and the measure m of a stem is the number
+of ``"vc"`` pairs in its consonant/vowel pattern, where ``y`` counts as a
+vowel after a consonant. Steps 2 and 3 apply the first rule whose suffix
+matches, and only if the remaining stem has m > 0; step 4 likewise stops
+at the first matching suffix.
 """
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
+import string
+
+# y is left out: it is a vowel after a consonant and a consonant otherwise
+_CV = str.maketrans({ch: "v" if ch in "aeiou" else "c"
+                     for ch in string.ascii_letters if ch != "y"})
 
 
-class _Buffer:
-    """Mutable word buffer with the measure/ends/setto primitives.
-
-    ``k`` is the index of the last live character and ``j`` marks the
-    start of the suffix most recently matched by :meth:`ends`.
-    """
-
-    __slots__ = ("b", "k", "j")
-
-    def __init__(self, word: str):
-        self.b = list(word)
-        self.k = len(word) - 1
-        self.j = 0
-
-    def cons(self, i: int) -> bool:
-        ch = self.b[i]
-        if ch in _VOWELS:
-            return False
-        if ch == "y":
-            return True if i == 0 else not self.cons(i - 1)
-        return True
-
-    def m(self) -> int:
-        """Count of vowel-consonant sequences in b[0..j]."""
-        n = 0
-        i = 0
-        while True:
-            if i > self.j:
-                return n
-            if not self.cons(i):
-                break
-            i += 1
-        i += 1
-        while True:
-            while True:
-                if i > self.j:
-                    return n
-                if self.cons(i):
-                    break
-                i += 1
-            i += 1
-            n += 1
-            while True:
-                if i > self.j:
-                    return n
-                if not self.cons(i):
-                    break
-                i += 1
-            i += 1
-
-    def vowel_in_stem(self) -> bool:
-        return any(not self.cons(i) for i in range(self.j + 1))
-
-    def doublec(self, j: int) -> bool:
-        if j < 1 or self.b[j] != self.b[j - 1]:
-            return False
-        return self.cons(j)
-
-    def cvc(self, i: int) -> bool:
-        if i < 2 or not self.cons(i) or self.cons(i - 1) or not self.cons(i - 2):
-            return False
-        return self.b[i] not in "wxy"
-
-    def ends(self, s: str) -> bool:
-        length = len(s)
-        if length > self.k + 1:
-            return False
-        if self.b[self.k - length + 1 : self.k + 1] != list(s):
-            return False
-        self.j = self.k - length
-        return True
-
-    def setto(self, s: str) -> None:
-        self.b[self.j + 1 : self.k + 1] = list(s)
-        self.k = self.j + len(s)
-
-    def r(self, s: str) -> None:
-        if self.m() > 0:
-            self.setto(s)
+def _pattern(word: str) -> str:
+    """One ``c`` or ``v`` per letter, the measure's consonant/vowel form."""
+    cv = word.translate(_CV)
+    while "y" in cv:  # leftmost first, so its left neighbour is settled
+        i = cv.index("y")
+        cv = cv[:i] + ("v" if cv[i - 1:i] == "c" else "c") + cv[i + 1:]
+    return cv
 
 
-def _step1ab(w: _Buffer) -> None:
-    if w.b[w.k] == "s":
-        if w.ends("sses"):
-            w.k -= 2
-        elif w.ends("ies"):
-            w.setto("i")
-        elif w.b[w.k - 1] != "s":
-            w.k -= 1
-    if w.ends("eed"):
-        if w.m() > 0:
-            w.k -= 1
-    elif (w.ends("ed") or w.ends("ing")) and w.vowel_in_stem():
-        w.k = w.j
-        if w.ends("at"):
-            w.setto("ate")
-        elif w.ends("bl"):
-            w.setto("ble")
-        elif w.ends("iz"):
-            w.setto("ize")
-        elif w.doublec(w.k):
-            w.k -= 1
-            if w.b[w.k] in "lsz":
-                w.k += 1
-        elif w.m() == 1 and w.cvc(w.k):
-            w.setto("e")
+def _m(stem: str) -> int:
+    return _pattern(stem).count("vc")
 
 
-def _step1c(w: _Buffer) -> None:
-    if w.ends("y") and w.vowel_in_stem():
-        w.b[w.k] = "i"
+def _cvc(stem: str) -> bool:
+    """Ends consonant-vowel-consonant, the last not w, x or y."""
+    return _pattern(stem).endswith("cvc") and stem[-1] not in "wxy"
+
+
+def _step1ab(w: str) -> str:
+    if w.endswith("s"):
+        if w.endswith(("sses", "ies")):
+            w = w[:-2]
+        elif w[-2] != "s":
+            w = w[:-1]
+    if w.endswith("eed"):
+        return w[:-1] if _m(w[:-3]) > 0 else w
+    for suffix in ("ed", "ing"):
+        if w.endswith(suffix) and "v" in _pattern(w[: -len(suffix)]):
+            w = w[: -len(suffix)]
+            if w.endswith(("at", "bl", "iz")):
+                return w + "e"
+            if len(w) > 1 and w[-1] == w[-2] and _pattern(w)[-1] == "c":
+                return w if w[-1] in "lsz" else w[:-1]
+            return w + "e" if _m(w) == 1 and _cvc(w) else w
+    return w
+
+
+def _step1c(w: str) -> str:
+    return w[:-1] + "i" if w.endswith("y") and "v" in _pattern(w[:-1]) else w
 
 
 _STEP2_RULES = {
-    "a": (("ational", "ate"), ("tional", "tion")),
-    "c": (("enci", "ence"), ("anci", "ance")),
-    "e": (("izer", "ize"),),
-    "l": (("bli", "ble"), ("alli", "al"), ("entli", "ent"), ("eli", "e"),
-          ("ousli", "ous")),
-    "o": (("ization", "ize"), ("ation", "ate"), ("ator", "ate")),
-    "s": (("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-          ("ousness", "ous")),
-    "t": (("aliti", "al"), ("iviti", "ive"), ("biliti", "ble")),
-    "g": (("logi", "log"),),
+    "ational": "ate", "tional": "tion",
+    "enci": "ence", "anci": "ance",
+    "izer": "ize",
+    "bli": "ble", "alli": "al", "entli": "ent", "eli": "e", "ousli": "ous",
+    "ization": "ize", "ation": "ate", "ator": "ate",
+    "alism": "al", "iveness": "ive", "fulness": "ful", "ousness": "ous",
+    "aliti": "al", "iviti": "ive", "biliti": "ble",
+    "logi": "log",
 }
 
 _STEP3_RULES = {
-    "e": (("icate", "ic"), ("ative", ""), ("alize", "al")),
-    "i": (("iciti", "ic"),),
-    "l": (("ical", "ic"), ("ful", "")),
-    "s": (("ness", ""),),
+    "icate": "ic", "ative": "", "alize": "al",
+    "iciti": "ic",
+    "ical": "ic", "ful": "",
+    "ness": "",
 }
 
+_STEP4_SUFFIXES = (
+    "al", "ance", "ence", "er", "ic", "able", "ible",
+    "ant", "ement", "ment", "ent", "ion", "ou",
+    "ism", "ate", "iti", "ous", "ive", "ize",
+)
 
-def _step2(w: _Buffer) -> None:
-    for suffix, repl in _STEP2_RULES.get(w.b[w.k - 1], ()):
-        if w.ends(suffix):
-            w.r(repl)
-            return
-
-
-def _step3(w: _Buffer) -> None:
-    for suffix, repl in _STEP3_RULES.get(w.b[w.k], ()):
-        if w.ends(suffix):
-            w.r(repl)
-            return
+_STEP2_SUFFIXES, _STEP3_SUFFIXES = tuple(_STEP2_RULES), tuple(_STEP3_RULES)
 
 
-_STEP4_SUFFIXES = {
-    "a": ("al",),
-    "c": ("ance", "ence"),
-    "e": ("er",),
-    "i": ("ic",),
-    "l": ("able", "ible"),
-    "n": ("ant", "ement", "ment", "ent"),
-    "o": ("ion", "ou"),
-    "s": ("ism",),
-    "t": ("ate", "iti"),
-    "u": ("ous",),
-    "v": ("ive",),
-    "z": ("ize",),
-}
+def _ending(w: str, suffixes: tuple[str, ...]) -> str:
+    """The first of ``suffixes`` that ``w`` ends with, or ``""``."""
+    if w.endswith(suffixes):  # one test turns most words away
+        for suffix in suffixes:
+            if w.endswith(suffix):
+                return suffix
+    return ""
 
 
-def _step4(w: _Buffer) -> None:
-    for suffix in _STEP4_SUFFIXES.get(w.b[w.k - 1], ()):
-        if w.ends(suffix):
-            if suffix == "ion" and not (w.j >= 0 and w.b[w.j] in "st"):
-                continue
-            if w.m() > 1:
-                w.k = w.j
-            return
+def _replace(w: str, rules: dict[str, str], suffixes: tuple[str, ...]) -> str:
+    """Steps 2 and 3: the first matching suffix is replaced if m(stem) > 0."""
+    suffix = _ending(w, suffixes)
+    if suffix and _m(w[: -len(suffix)]) > 0:
+        return w[: -len(suffix)] + rules[suffix]
+    return w
 
 
-def _step5(w: _Buffer) -> None:
-    w.j = w.k
-    if w.b[w.k] == "e":
-        a = w.m()
-        if a > 1 or (a == 1 and not w.cvc(w.k - 1)):
-            w.k -= 1
-    if w.b[w.k] == "l" and w.doublec(w.k) and w.m() > 1:
-        w.k -= 1
+def _step4(w: str) -> str:
+    suffix = _ending(w, _STEP4_SUFFIXES)
+    if not suffix:
+        return w
+    stem = w[: -len(suffix)]
+    if suffix == "ion" and not stem.endswith(("s", "t")):
+        return w
+    return stem if _m(stem) > 1 else w
+
+
+def _step5(w: str) -> str:
+    if w.endswith("e"):
+        a = _m(w[:-1])
+        if a > 1 or (a == 1 and not _cvc(w[:-1])):
+            w = w[:-1]
+    if w.endswith("ll") and _m(w) > 1:
+        w = w[:-1]
+    return w
 
 
 def porter_stem(token: str) -> str:
@@ -208,15 +141,9 @@ def porter_stem(token: str) -> str:
     Tokens that are not pure ASCII letters, or are shorter than 3
     characters, are returned unchanged.
     """
-    if len(token) <= 2:
+    if len(token) <= 2 or not (token.isascii() and token.isalpha()):
         return token
-    if not (token.isascii() and token.isalpha()):
-        return token
-    w = _Buffer(token)
-    _step1ab(w)
-    _step1c(w)
-    _step2(w)
-    _step3(w)
-    _step4(w)
-    _step5(w)
-    return "".join(w.b[: w.k + 1])
+    w = _step1c(_step1ab(token))
+    w = _replace(w, _STEP2_RULES, _STEP2_SUFFIXES)
+    w = _replace(w, _STEP3_RULES, _STEP3_SUFFIXES)
+    return _step5(_step4(w))

@@ -54,6 +54,7 @@ def _tf_matrix(counts: sp.csr_matrix) -> sp.csr_matrix:
     """Row-wise max normalization of a CSR count matrix."""
     X = counts.tocsr().astype(np.float64, copy=True)
     X.sum_duplicates()
+    X.eliminate_zeros()  # a stored zero count is no occupied cell
     if X.nnz == 0:
         return X
     row_max = np.zeros(X.shape[0])

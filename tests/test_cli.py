@@ -72,6 +72,26 @@ class TestRun:
         assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert f"{field}:" in capsys.readouterr().err
 
+    def test_unknown_positive_label_fails_before_preprocessing(
+            self, base_config, tmp_path, capsys, monkeypatch):
+        def no_preprocessing(*args, **kwargs):
+            raise AssertionError("preprocessing ran")
+
+        monkeypatch.setattr("ctfidf.pipeline.preprocess_corpus",
+                            no_preprocessing)
+        base_config["positiveLabel"] = "Spam"
+        path = write_config(tmp_path, base_config)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "positiveLabel: 'Spam' not among labels ['ham', 'spam']" in err
+
+    def test_work_size_beyond_matrix_names_key(self, base_config, tmp_path,
+                                               capsys):
+        base_config["reduce"] = {"k": 40, "workSize": 100000}
+        path = write_config(tmp_path, base_config)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "reduce.workSize: need k < work_size" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--train-frac", "1.5", "split.trainFraction"),
         ("--train-frac", "abc", "split.trainFraction"),

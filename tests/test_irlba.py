@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctfidf.exceptions import (
     ConfigError,
@@ -128,6 +130,34 @@ class TestIrlba:
             assert np.abs(f.s[:rank] - dense[:rank]).max() <= 1e-6 * dense[0]
             assert f.s[rank] <= 1e-8 * dense[0]
             check_factors(A, f, 1e-8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_rank_deficient_and_near_tied_spectra(self, data):
+        """Planted spectra: random orthogonal factors, a rank that may fall
+        short of k, and s_{k+1} within 1e-12 to 1e-4 of s_k (relative).
+
+        The values are uniform draws, so none repeats exactly among the top
+        k: one start vector's Krylov space holds a single direction of each
+        distinct value, and IRLBA can return s_{k+1} for a second copy of
+        s_k (a known limit of the single-vector method).
+        """
+        m, n = data.draw(st.integers(20, 80)), data.draw(st.integers(20, 80))
+        k = data.draw(st.integers(1, 10))
+        rank = data.draw(st.integers(1, min(m, n)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        s = np.sort(rng.uniform(0.1, 10.0, rank))[::-1]
+        if rank > k:
+            s[k] = s[k - 1] * (1.0 - 10.0 ** -data.draw(st.floats(4.0, 12.0)))
+            s[k + 1:] = np.minimum(s[k + 1:], s[k])
+        L = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+        R = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+        A = sp.csr_matrix((L * s) @ R.T)
+        f = irlba(A, IrlbaConfig(k=k, tol=1e-8,
+                                 seed=data.draw(st.integers(0, 2**16))))
+        dense = np.linalg.svd(A.toarray(), compute_uv=False)[:k]
+        assert np.abs(f.s - dense).max() <= 1e-6 * dense[0]
+        check_factors(A, f, 1e-8)
 
     def test_zero_matrix(self):
         A = sp.csr_matrix((20, 15))

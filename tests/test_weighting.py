@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctfidf.dfm import build_dfm, build_vocabulary
 from ctfidf.exceptions import DimensionMismatchError
@@ -181,3 +183,39 @@ class TestFitApply:
         counts = build_dfm(docs, vocab)
         out = apply_weighting(counts, fit_weighting(vocab, Scheme.CTF_IDF))
         assert (out.toarray()[1] == 0).all()
+
+
+@st.composite
+def counts_and_vocab(draw):
+    """A CSR count matrix whose rows may hold duplicate and explicit-zero
+    entries, and a vocabulary whose document frequencies lie in [1, N]."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    n_docs = draw(st.integers(1, 50))
+    doc_freq = draw(st.lists(st.integers(1, n_docs), min_size=n_cols,
+                             max_size=n_cols))
+    cells = sorted(draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
+                                           st.integers(0, n_cols - 1),
+                                           st.integers(0, 4)),
+                                 max_size=30)))
+    indptr = np.searchsorted([r for r, _, _ in cells], np.arange(n_rows + 1))
+    counts = sp.csr_matrix(([v for *_, v in cells], [c for _, c, _ in cells],
+                            indptr), shape=(n_rows, n_cols), dtype=np.float64)
+    return counts, vocab_with(doc_freq, n_docs)
+
+
+@given(counts_and_vocab())
+def test_weighting_patterns(case):
+    counts, vocab = case
+    occupied = counts.toarray() > 0  # duplicates summed
+    ubiquitous = vocab.doc_freq == vocab.n_docs
+    for scheme in Scheme:
+        out = apply_weighting(counts, fit_weighting(vocab, scheme))
+        stored = sp.csr_matrix((np.ones(out.nnz), out.indices, out.indptr),
+                               shape=out.shape).toarray() > 0
+        assert not (stored & ~occupied).any()  # the pattern never grows
+        weights = out.toarray()
+        if scheme is Scheme.CTF_IDF:
+            assert (weights[occupied] > 0).all()
+            assert np.array_equal(stored, occupied)
+        else:  # classic tfidf is zero exactly where df == N
+            assert np.array_equal(weights != 0, occupied & ~ubiquitous)
