@@ -18,36 +18,37 @@ from ctfidf.pipeline import (
 )
 from ctfidf.synth import generate_corpus, write_tsv
 
-workdir = Path(tempfile.mkdtemp(prefix="ctfidf_demo_"))
-data = workdir / "synthetic.tsv"
-write_tsv(str(data), generate_corpus(n_ham=800, n_spam=400, seed=42))
-print(f"synthetic corpus: {data} (1200 messages)\n")
+with tempfile.TemporaryDirectory(prefix="ctfidf_demo_") as tmp:
+    workdir = Path(tmp)
+    data = workdir / "synthetic.tsv"
+    write_tsv(str(data), generate_corpus(n_ham=800, n_spam=400, seed=42))
+    print(f"synthetic corpus: {data} (1200 messages)\n")
 
-rows = []
-for scheme in ("tfidf", "ctfidf"):
-    for reduced in (False, True):
-        cfg = ExperimentConfig(
-            dataset=DatasetConfig(path=str(data)),
-            weighting_scheme=scheme,
-            reduce=ReduceConfig(enabled=reduced, k=60, seed=0),
-            model=ModelSpec(kind="svm"),
-            split=SplitSpec(0.7, seed=0, stratified=True),
-            cv_folds=5,
-            positive_label="spam",
-            output_dir=str(workdir / f"{scheme}_{'irlba' if reduced else 'plain'}"),
-        )
-        report = run_experiment(cfg)
-        rows.append((f"{scheme}{' (irlba)' if reduced else ''}",
-                     report.metric, report.train_time_ms,
-                     report.reduce_time_ms))
+    rows = []
+    for scheme in ("tfidf", "ctfidf"):
+        for reduced in (False, True):
+            cfg = ExperimentConfig(
+                dataset=DatasetConfig(path=str(data)),
+                weighting_scheme=scheme,
+                reduce=ReduceConfig(enabled=reduced, k=60, seed=0),
+                model=ModelSpec(kind="svm"),
+                split=SplitSpec(0.7, seed=0, stratified=True),
+                cv_folds=5,
+                positive_label="spam",
+                output_dir=str(workdir / f"{scheme}_{'irlba' if reduced else 'plain'}"),
+            )
+            report = run_experiment(cfg)
+            rows.append((f"{scheme}{' (irlba)' if reduced else ''}",
+                         report.metric, report.train_time_ms,
+                         report.reduce_time_ms))
 
-print(f"{'variant':<18}{'precision':>10}{'recall':>10}{'f1':>10}"
-      f"{'train':>9}{'reduce':>9}")
-for name, m, train_ms, reduce_ms in rows:
-    reduce_str = f"{reduce_ms}ms" if reduce_ms is not None else "-"
-    print(f"{name:<18}{m.precision:>10.4f}{m.recall:>10.4f}{m.f1:>10.4f}"
-          f"{train_ms:>7}ms{reduce_str:>9}")
+    print(f"{'variant':<18}{'precision':>10}{'recall':>10}{'f1':>10}"
+          f"{'train':>9}{'reduce':>9}")
+    for name, m, train_ms, reduce_ms in rows:
+        reduce_str = f"{reduce_ms}ms" if reduce_ms is not None else "-"
+        print(f"{name:<18}{m.precision:>10.4f}{m.recall:>10.4f}{m.f1:>10.4f}"
+              f"{train_ms:>7}ms{reduce_str:>9}")
 
-print(f"\nartifacts under {workdir}")
-print("each run wrote report.json, model.json, vocab.json"
-      " (and factors.bin when reduced)")
+    print(f"\nartifacts under {workdir}")
+    print("each run wrote report.json, model.json, vocab.json"
+          " (and factors.bin when reduced)")

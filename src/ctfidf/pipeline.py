@@ -353,6 +353,15 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                               f"{config.positive_label!r} not among labels "
                               f"{sorted(corpus.label_set)}")
         train, test = ingest.split(corpus, config.split)
+        if not len(train) or not len(test):
+            raise ConfigError(_key("split.train_fraction"),
+                              f"gives {len(train)} training and {len(test)} "
+                              f"test record(s); both need at least one")
+        if (config.model.kind == "dtree" and config.cv_folds > len(train)
+                and _hyperparameters(config.model).get("ccpAlpha") is None):
+            raise ConfigError(_key("cv_folds"),
+                              f"{config.cv_folds} folds exceed the "
+                              f"{len(train)} training record(s)")
 
     with _stage("preprocess"):
         train_docs = preprocess_corpus(train.texts(), config.preprocess)

@@ -92,6 +92,40 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "reduce.workSize: need k < work_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patch, field, message", [
+        pytest.param({"split": {"trainFraction": 0.9}}, "split.trainFraction",
+                     "gives 4 training and 0 test record(s)", id="no-test"),
+        pytest.param({"split": {"trainFraction": 0.1}}, "split.trainFraction",
+                     "gives 0 training and 4 test record(s)", id="no-train"),
+        pytest.param({"model": {"kind": "dtree"}, "cvFolds": 10}, "cvFolds",
+                     "10 folds exceed the 3 training record(s)",
+                     id="cv-folds"),
+    ])
+    def test_split_too_small_names_key(self, base_config, tmp_path, capsys,
+                                       monkeypatch, patch, field, message):
+        def no_preprocessing(*args, **kwargs):
+            raise AssertionError("preprocessing ran")
+
+        monkeypatch.setattr("ctfidf.pipeline.preprocess_corpus",
+                            no_preprocessing)
+        tiny = tmp_path / "tiny.tsv"
+        tiny.write_text("ham\thello there friend\n"
+                        "ham\tsee you at lunch today\n"
+                        "spam\twin free prize now call\n"
+                        "spam\tclaim your free cash prize\n", encoding="utf-8")
+        cfg = merged(base_config, patch)
+        cfg["dataset"]["path"] = str(tiny)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert f"{field}: {message}" in capsys.readouterr().err
+
+    def test_folds_beyond_split_allowed_at_fixed_alpha(self, base_config,
+                                                       tmp_path):
+        cfg = merged(base_config, {
+            "model": {"kind": "dtree", "hyperparameters": {"ccpAlpha": 0.01}},
+            "reduce": {"enabled": False}, "split": {"trainFraction": 0.01},
+            "cvFolds": 10})
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--train-frac", "1.5", "split.trainFraction"),
         ("--train-frac", "abc", "split.trainFraction"),

@@ -127,4 +127,130 @@ def test_json_roundtrip():
     assert back.passes == model.passes == len(model.objective_path)
     assert back.pg_gap == model.pg_gap < 1e-4
     assert back.objective_path == model.objective_path
+    assert back.active_path == model.active_path
+    assert len(model.active_path) == model.passes
+    doc = model.to_dict()
+    del doc["activePath"]
+    assert SvmModel.from_dict(doc).active_path == ()
     assert predict_svm(back, X) == predict_svm(model, X)
+
+
+def reference_train(X, y, C=1.0, tol=1e-4, max_iter=100_000, seed=0):
+    """The solver before shrinking: every pass visits every example.
+
+    Kept as the reference for the shrinking loop; returns (weights, bias,
+    alpha, final dual objective).
+    """
+    pos = sorted(set(y))[1]
+    yv = np.asarray([1.0 if lab == pos else -1.0 for lab in y])
+    n = X.shape[0]
+    sparse = sp.issparse(X)
+    if sparse:
+        Xc = X.tocsr()
+        indptr, indices, data = Xc.indptr, Xc.indices, Xc.data
+        sq = np.asarray(Xc.multiply(Xc).sum(axis=1)).ravel() + 1.0
+    else:
+        Xd = np.ascontiguousarray(X, dtype=np.float64)
+        sq = np.einsum("ij,ij->i", Xd, Xd) + 1.0
+    rng = np.random.Generator(np.random.PCG64(seed))
+    alpha = np.zeros(n)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for _ in range(max_iter):
+        max_pg = -np.inf
+        min_pg = np.inf
+        for i in rng.permutation(n):
+            yi = yv[i]
+            if sparse:
+                lo, hi = indptr[i], indptr[i + 1]
+                cols = indices[lo:hi]
+                vals = data[lo:hi]
+                f = float(vals @ w[cols]) + b
+            else:
+                xi = Xd[i]
+                f = float(xi @ w) + b
+            G = yi * f - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(G, 0.0)
+            elif a >= C:
+                pg = max(G, 0.0)
+            else:
+                pg = G
+            max_pg = max(max_pg, pg)
+            min_pg = min(min_pg, pg)
+            if pg != 0.0:
+                new = min(max(a - G / sq[i], 0.0), C)
+                d = new - a
+                if d != 0.0:
+                    alpha[i] = new
+                    step = d * yi
+                    if sparse:
+                        w[cols] += step * vals
+                    else:
+                        w += step * xi
+                    b += step
+        if max_pg - min_pg < tol:
+            break
+    else:
+        raise AssertionError("reference did not converge")
+    return w, b, alpha, 0.5 * (float(w @ w) + b * b) - float(alpha.sum())
+
+
+def noisy_clouds(seed):
+    """Overlapping clouds, a tenth of the labels flipped."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.normal(-1.0, 1.0, (100, 5)),
+                   rng.normal(1.0, 1.0, (100, 5))])
+    y = ["neg"] * 100 + ["pos"] * 100
+    for i in rng.choice(200, 20, replace=False):
+        y[i] = "pos" if y[i] == "neg" else "neg"
+    return X, y
+
+
+def sparse_problem(seed):
+    rng = np.random.default_rng(seed)
+    X = sp.random(300, 400, density=0.02, format="csr", random_state=rng)
+    truth = rng.standard_normal(400)
+    y = ["pos" if s >= 0 else "neg" for s in X @ truth]
+    return X, y
+
+
+SHRINK_CASES = [
+    pytest.param(*clouds(n=150, gap=1.0, seed=20), 1.0, id="dense-clouds"),
+    pytest.param(*sparse_problem(21), 1.0, id="sparse-csr"),
+    pytest.param(*noisy_clouds(22), 0.05, id="label-noise-small-C"),
+]
+
+
+class TestShrinking:
+    @pytest.mark.parametrize("X, y, C", SHRINK_CASES)
+    def test_matches_reference(self, X, y, C):
+        w, b, alpha, objective = reference_train(X, y, C=C, seed=23)
+        if C < 1.0:  # the case meant to shrink examples held at alpha = C
+            assert (alpha >= C).sum() >= 10
+        model = train_svm(X, y, C=C, seed=23)
+        assert model.pg_gap < 1e-4
+        assert abs(model.objective_path[-1] - objective) <= \
+            1e-6 * abs(objective)
+        ref = np.asarray(X @ w).ravel() + b
+        got = decision_scores(model, X)
+        firm = np.abs(ref) >= 1e-3
+        assert ((got[firm] >= 0) == (ref[firm] >= 0)).all()
+
+    @pytest.mark.parametrize("X, y, C", SHRINK_CASES)
+    def test_active_set_shrinks_then_stops_on_all(self, X, y, C):
+        model = train_svm(X, y, C=C, seed=23)
+        n = X.shape[0]
+        assert len(model.active_path) == model.passes
+        assert min(model.active_path) < n
+        assert model.active_path[0] == model.active_path[-1] == n
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 8, 13])
+    def test_truncated_model_is_finite_json(self, max_iter):
+        X, y = noisy_clouds(24)
+        with pytest.raises(NoConvergenceError) as err:
+            train_svm(X, y, C=0.05, max_iter=max_iter, seed=25)
+        best = err.value.best
+        assert len(best.active_path) == best.passes == max_iter
+        json.dumps(best.to_dict(), allow_nan=False)
