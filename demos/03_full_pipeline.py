@@ -22,7 +22,7 @@ with tempfile.TemporaryDirectory(prefix="ctfidf_demo_") as tmp:
     workdir = Path(tmp)
     data = workdir / "synthetic.tsv"
     write_tsv(str(data), generate_corpus(n_ham=800, n_spam=400, seed=42))
-    print(f"synthetic corpus: {data} (1200 messages)\n")
+    print(f"synthetic corpus: {data.name} (1200 messages)\n")
 
     rows = []
     for scheme in ("tfidf", "ctfidf"):
@@ -49,6 +49,8 @@ with tempfile.TemporaryDirectory(prefix="ctfidf_demo_") as tmp:
         print(f"{name:<18}{m.precision:>10.4f}{m.recall:>10.4f}{m.f1:>10.4f}"
               f"{train_ms:>7}ms{reduce_str:>9}")
 
-    print(f"\nartifacts under {workdir}")
-    print("each run wrote report.json, model.json, vocab.json"
-          " (and factors.bin when reduced)")
+    # the directory goes when the demo exits, so name what each run wrote
+    print("\nartifacts of each run (removed when the demo exits):")
+    for run in sorted(p for p in workdir.iterdir() if p.is_dir()):
+        print(f"  {run.name}/: "
+              + ", ".join(sorted(f.name for f in run.iterdir())))

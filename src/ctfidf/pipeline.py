@@ -320,7 +320,7 @@ def _train_model(config: ExperimentConfig, X, y: list[str]):
     if config.model.kind == "svm":
         return train_svm(X, y, seed=seed, **hp)
     return train_dtree(X, y, TreeParams(**hp), cv_folds=config.cv_folds,
-                       seed=seed)
+                       seed=seed, positive_label=config.positive_label)
 
 
 @contextlib.contextmanager

@@ -17,8 +17,12 @@ rows times the feature count, which is why a sparse term matrix is cheap
 to fit.
 
 The complexity parameter is selected from a fixed grid by stratified
-k-fold cross-validation maximizing mean F1, using one weakest-link
-pruning path per grown tree so each fold grows only a single tree.
+k-fold cross-validation maximizing mean F1. Each fold grows a single
+tree. For each grid value one bottom-up pass over its nodes finds the
+smallest subtree minimizing cost plus alpha times the leaf count
+(Breiman et al., 1984, ch. 10), and the fold predicts on the grown tree,
+treating that subtree's leaves as leaves; only the final model is copied
+into a pruned node list.
 """
 
 from __future__ import annotations
@@ -29,7 +33,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .evaluation import confusion, kfold_indices, metrics
-from .exceptions import DimensionMismatchError, SingleClassError
+from .exceptions import (
+    DimensionMismatchError,
+    SingleClassError,
+    UnknownPositiveLabelError,
+)
 
 CCP_ALPHA_GRID = (0.0, 1e-4, 1e-3, 1e-2, 1e-1)
 
@@ -265,62 +273,28 @@ def _make_node(y_idx: np.ndarray, rows: np.ndarray,
                     predicted_label=labels[int(np.argmax(counts))])
 
 
-def _pruning_path(nodes: list[TreeNode]) -> list[tuple[float, frozenset[int]]]:
-    """Weakest-link sequence: (effective alpha, nodes collapsed so far).
+def _pruned(nodes: list[TreeNode], alpha: float) -> frozenset[int]:
+    """Internal nodes to treat as leaves for the smallest subtree minimizing
+    R(T) + alpha * |leaves(T)|; nodes below such a node may be listed too.
 
-    Node cost is the sample-weighted Gini, matching the growth criterion.
-    Leaf counts and subtree costs are maintained incrementally through
-    parent pointers, and every node achieving the current minimum link
-    strength collapses in the same step.
+    R is the sample-weighted Gini, matching the growth criterion. One pass
+    from the last node back, since children always follow their parent:
+    a node becomes a leaf when its own cost is no more than the best cost
+    of its two subtrees, so a tie prunes.
     """
-    n = len(nodes)
     n_total = int(nodes[0].class_counts.sum())
-    r_node = np.array([int(nd.class_counts.sum()) / n_total * nd.impurity
-                       for nd in nodes])
-    parent = np.full(n, -1, dtype=np.int64)
-    for i, nd in enumerate(nodes):
-        if not nd.is_leaf:
-            parent[nd.left] = i
-            parent[nd.right] = i
-    n_leaves = np.ones(n, dtype=np.int64)
-    cost = r_node.copy()
-    for i in range(n - 1, -1, -1):  # children always follow their parent
+    best = [0.0] * len(nodes)
+    cut = set()
+    for i in range(len(nodes) - 1, -1, -1):
         nd = nodes[i]
+        best[i] = int(nd.class_counts.sum()) / n_total * nd.impurity + alpha
         if not nd.is_leaf:
-            n_leaves[i] = n_leaves[nd.left] + n_leaves[nd.right]
-            cost[i] = cost[nd.left] + cost[nd.right]
-
-    alive = {i for i, nd in enumerate(nodes) if not nd.is_leaf}
-    removed = np.zeros(n, dtype=bool)
-    collapsed: set[int] = set()
-    path: list[tuple[float, frozenset[int]]] = []
-
-    while alive:
-        g = {i: (r_node[i] - cost[i]) / (n_leaves[i] - 1) for i in alive}
-        g_min = min(g.values())
-        for i in sorted(i for i, v in g.items() if v <= g_min):
-            if removed[i] or i in collapsed:
-                continue
-            stack = [nodes[i].left, nodes[i].right]
-            while stack:
-                t = stack.pop()
-                removed[t] = True
-                alive.discard(t)
-                if not nodes[t].is_leaf:
-                    stack.extend((nodes[t].left, nodes[t].right))
-            collapsed.add(i)
-            alive.discard(i)
-            d_leaves = 1 - n_leaves[i]
-            d_cost = r_node[i] - cost[i]
-            n_leaves[i] = 1
-            cost[i] = r_node[i]
-            p = parent[i]
-            while p != -1:
-                n_leaves[p] += d_leaves
-                cost[p] += d_cost
-                p = parent[p]
-        path.append((max(float(g_min), 0.0), frozenset(collapsed)))
-    return path
+            below = best[nd.left] + best[nd.right]
+            if best[i] <= below:
+                cut.add(i)
+            else:
+                best[i] = below
+    return frozenset(cut)
 
 
 def _collapse(nodes: list[TreeNode], cut: frozenset[int]) -> list[TreeNode]:
@@ -346,20 +320,12 @@ def _collapse(nodes: list[TreeNode], cut: frozenset[int]) -> list[TreeNode]:
     return out
 
 
-def _tree_at_alpha(nodes: list[TreeNode],
-                   path: list[tuple[float, frozenset[int]]],
-                   alpha: float) -> list[TreeNode]:
-    cut: frozenset[int] = frozenset()
-    for a_eff, cum in path:
-        if a_eff <= alpha:
-            cut = cum
-        else:
-            break
-    return _collapse(nodes, cut)
+def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray,
+                   cut: frozenset[int] = frozenset()) -> list[str]:
+    """Labels of ``rows`` of an :func:`_as_columns` matrix, in order.
 
-
-def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray) -> list[str]:
-    """Labels of ``rows`` of an :func:`_as_columns` matrix, in order."""
+    The nodes in ``cut`` act as leaves, as in :func:`_collapse`.
+    """
     out = np.empty(rows.shape[0], dtype=object)
     stack = [(0, np.arange(rows.shape[0]))]
     while stack:
@@ -367,7 +333,7 @@ def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray) -> list[str]:
         if pos.shape[0] == 0:
             continue
         node = nodes[slot]
-        if node.is_leaf:
+        if node.is_leaf or slot in cut:
             out[pos] = node.predicted_label
             continue
         mask = _column(X, node.feature, rows[pos]) <= node.threshold
@@ -377,11 +343,14 @@ def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray) -> list[str]:
 
 
 def train_dtree(X, y: list[str], params: TreeParams | None = None,
-                cv_folds: int = 10, seed: int = 0) -> DecisionTreeModel:
+                cv_folds: int = 10, seed: int = 0, *,
+                positive_label: str | None = None) -> DecisionTreeModel:
     """Fit a CART classifier, tuning the pruning strength by CV.
 
-    With ``params.ccp_alpha`` set the CV search is skipped and the tree
-    is grown and pruned at that value directly.
+    Each fold's F1 treats ``positive_label`` (by default the last label in
+    sorted order) as the positive class. With ``params.ccp_alpha`` set the
+    CV search is skipped and the tree is grown and pruned at that value
+    directly.
     """
     params = params or TreeParams()
     labels = sorted(set(y))
@@ -392,11 +361,14 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
             f"X has {X.shape[0]} rows, y has {len(y)} labels")
     if cv_folds < 2:
         raise ValueError(f"cv_folds must be >= 2, got {cv_folds}")
+    positive = labels[-1] if positive_label is None else positive_label
+    if positive not in labels:
+        raise UnknownPositiveLabelError(
+            f"{positive!r} not among labels {labels}")
     lab_to_idx = {lab: i for i, lab in enumerate(labels)}
     y_idx = np.asarray([lab_to_idx[lab] for lab in y], dtype=np.int64)
     X = _as_columns(X)
     entries = _sorted_entries(X)
-    positive = labels[-1]
 
     cv_scores: dict[float, float] = {}
     if params.ccp_alpha is None:
@@ -412,21 +384,21 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
             in_fold = ~test_mask[entries[2]]
             grown = _grow(X, tuple(a[in_fold] for a in entries), tr, y_idx,
                           labels, params)
-            path = _pruning_path(grown)
             y_te = [y[i] for i in te]
             for a in CCP_ALPHA_GRID:
-                pruned = _tree_at_alpha(grown, path, a)
-                pred = _predict_nodes(pruned, X, te)
-                frag = metrics(confusion(y_te, pred, positive))
-                fold_f1[a].append(frag.f1)
+                pred = _predict_nodes(grown, X, te, _pruned(grown, a))
+                # with no true or predicted positive F1 is 0, as metrics()
+                # defines it, but confusion() would reject the label
+                fold_f1[a].append(metrics(confusion(y_te, pred, positive)).f1
+                                  if positive in y_te or positive in pred
+                                  else 0.0)
         cv_scores = {a: float(np.mean(v)) for a, v in fold_f1.items()}
         best_alpha = max(CCP_ALPHA_GRID, key=lambda a: (cv_scores[a], -a))
     else:
         best_alpha = params.ccp_alpha
 
     grown = _grow(X, entries, np.arange(len(y)), y_idx, labels, params)
-    path = _pruning_path(grown)
-    final = _tree_at_alpha(grown, path, best_alpha)
+    final = _collapse(grown, _pruned(grown, best_alpha))
     return DecisionTreeModel(nodes=final, params=params, label_order=labels,
                              chosen_alpha=best_alpha, cv_mean_f1=cv_scores)
 

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from ctfidf.cli import main
+from ctfidf.synth import generate_corpus, write_tsv
 
 from conftest import BAD_VALUES, merged, write_config
 
@@ -125,6 +126,20 @@ class TestRun:
             "reduce": {"enabled": False}, "split": {"trainFraction": 0.01},
             "cvFolds": 10})
         assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tree_cv_fold_without_positive_label(self, base_config, tmp_path,
+                                                 seed):
+        # 12 spam records over 10 stratified folds: some folds hold none
+        data = tmp_path / "thin.tsv"
+        write_tsv(str(data), generate_corpus(120, 12, seed=3))
+        cfg = merged(base_config, {"dataset": {"path": str(data)},
+                                   "reduce": {"enabled": False},
+                                   "model": {"kind": "dtree"}, "cvFolds": 10})
+        with pytest.warns(UserWarning, match="some folds will miss them"):
+            code = main(["run", "--config", str(write_config(tmp_path, cfg)),
+                         "--seed", str(seed)])
+        assert code == 0
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--train-frac", "1.5", "split.trainFraction"),

@@ -1,9 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no
+module-level private name goes unreferenced.
 
-A static check on the syntax tree, standing in for a linter: an imported
+Static checks on the syntax tree, standing in for a linter: an imported
 name counts as used when it appears anywhere else in the module as a name
 or as the root of an attribute chain. ``__init__.py`` is exempt, since its
-imports are the package's re-exports.
+imports are the package's re-exports. A module-level name with one leading
+underscore counts as referenced when it is read, taken as an attribute or
+imported anywhere in the package outside its own definition.
 """
 
 import ast
@@ -41,3 +44,57 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree: ast.Module):
+    """(name, defining statement) of each module-level ``_name``."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def references(node: ast.AST) -> list[str]:
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name)
+    return out
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    refs = [r for tree in trees.values() for r in references(tree)]
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name, stmt in private_definitions(tree)
+                  if refs.count(name) == references(stmt).count(name))
+
+
+def test_checker_finds_unreferenced_privates():
+    sources = {
+        "a": ("_LIMIT = 3\n_dead: int = 1\n"
+              "def _rec(n):\n    return _rec(n - 1) if n else _LIMIT\n"
+              "def _helper():\n    pass\n"
+              "class _Box:\n    pass\n"),
+        "b": "import a\nfrom a import _helper\n_helper(a._Box)\n",
+    }
+    assert unreferenced_privates(sources) == ["a._dead", "a._rec"]
+
+
+def test_every_private_name_is_referenced():
+    package = Path(ctfidf.__file__).parent.glob("*.py")
+    assert unreferenced_privates(
+        {p.stem: p.read_text(encoding="utf-8") for p in package}) == []

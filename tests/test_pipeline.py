@@ -15,6 +15,7 @@ from ctfidf.pipeline import (
     load_config,
     run_experiment,
 )
+from ctfidf.tree import train_dtree
 
 from conftest import BAD_VALUES, merged, write_config
 
@@ -242,6 +243,22 @@ class TestRunExperiment:
         })
         report = run_experiment(cfg)
         assert report.to_dict()["labelCounts"] == {"ham": 3, "spam": 5}
+
+    def test_tree_cv_scores_the_positive_label(self, base_config,
+                                              monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["positive_label"])
+            return train_dtree(*args, **kwargs)
+
+        monkeypatch.setattr("ctfidf.pipeline.train_dtree", spy)
+        cfg = merged(base_config, {
+            "dataset": {"labelMapping": {"spam": "Spam"}},
+            "positiveLabel": "Spam", "reduce": {"enabled": False},
+            "model": {"kind": "dtree"}})
+        run_experiment(config_from_dict(cfg))
+        assert seen == ["Spam"]  # not "ham", the last label in sorted order
 
     def test_vocab_json_pairs_weighting(self, base_config, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config))

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctfidf import tree
-from ctfidf.exceptions import DimensionMismatchError, SingleClassError
+from ctfidf.evaluation import confusion, kfold_indices, metrics
+from ctfidf.exceptions import (
+    DimensionMismatchError,
+    SingleClassError,
+    UnknownPositiveLabelError,
+)
 from ctfidf.tree import (
     CCP_ALPHA_GRID,
     DecisionTreeModel,
@@ -153,6 +159,13 @@ class TestTraining:
         model = train_dtree(X, y, TreeParams(ccp_alpha=10.0), seed=1)
         assert len(model.nodes) == 1
 
+    def test_exact_tie_prunes(self):
+        # root cost 0.5 + alpha against two pure leaves' 2 * alpha: equal at
+        # alpha = 0.5, where the smaller subtree wins
+        X, y = separable_1d()
+        model = train_dtree(X, y, TreeParams(ccp_alpha=0.5))
+        assert len(model.nodes) == 1
+
     def test_cv_scores_recorded_for_grid(self):
         X, y = noisy_data(seed=8)
         model = train_dtree(X, y, cv_folds=3, seed=4)
@@ -160,6 +173,30 @@ class TestTraining:
         assert model.chosen_alpha in CCP_ALPHA_GRID
         best = max(model.cv_mean_f1.values())
         assert model.cv_mean_f1[model.chosen_alpha] == best
+
+    @pytest.mark.parametrize("positive", [None, "ham"])
+    def test_cv_scores_match_refit_folds(self, positive):
+        # the CV folds predict on their grown trees through a leaf set; the
+        # reference refits each fold and predicts on its collapsed copy
+        X, y = noisy_data(seed=8)
+        y = ["ham" if lab == "pos" else "spam" for lab in y]
+        model = train_dtree(X, y, cv_folds=5, seed=4, positive_label=positive)
+        folds = kfold_indices(y, 5, 4)
+        for a in CCP_ALPHA_GRID:
+            scores = []
+            for te in folds:
+                tr = np.setdiff1d(np.arange(len(y)), te)
+                refit = train_dtree(X[tr], [y[i] for i in tr],
+                                    TreeParams(ccp_alpha=a))
+                cm = confusion([y[i] for i in te], predict_dtree(refit, X[te]),
+                               positive or "spam")
+                scores.append(metrics(cm).f1)
+            assert model.cv_mean_f1[a] == float(np.mean(scores))
+
+    def test_unknown_positive_label_rejected(self):
+        X, y = separable_1d()
+        with pytest.raises(UnknownPositiveLabelError, match="'C' not among"):
+            train_dtree(X, y, cv_folds=2, positive_label="C")
 
 
 class TestPredict:
@@ -279,6 +316,73 @@ def test_dense_and_csr_grow_the_exhaustive_tree(data):
     root = dense["nodes"][0]
     assert (root["featureIndex"], root["threshold"]) == exhaustive_root_split(
         D, y, root["impurity"])
+
+
+def grown_tree(D: np.ndarray, y: list[str]) -> list[tree.TreeNode]:
+    labels = sorted(set(y))
+    y_idx = np.array([labels.index(lab) for lab in y])
+    X = tree._as_columns(D)
+    return tree._grow(X, tree._sorted_entries(X), np.arange(len(y)), y_idx,
+                      labels, TreeParams())
+
+
+def exact_prune(nodes, alpha: float):
+    """Exact optimum of R(T) + alpha |leaves(T)|, the internal nodes cut in
+    the smallest subtree reaching it, each node's own cost, and the closest
+    any node's comparison comes to a tie.
+
+    R(t) = (n_t^2 - sum_c c^2) / (n_t N), from the integer class counts.
+    """
+    n_total = int(nodes[0].class_counts.sum())
+    own = []
+    for nd in nodes:
+        counts = [int(c) for c in nd.class_counts]
+        n = sum(counts)
+        own.append(Fraction(n * n - sum(c * c for c in counts), n * n_total)
+                   + Fraction(alpha))
+    best = list(own)
+    cut, margin = set(), None
+    for i in range(len(nodes) - 1, -1, -1):
+        nd = nodes[i]
+        if nd.is_leaf:
+            continue
+        below = best[nd.left] + best[nd.right]
+        gap = abs(own[i] - below)
+        margin = gap if margin is None else min(margin, gap)
+        if own[i] <= below:
+            cut.add(i)
+        else:
+            best[i] = below
+    return best[0], cut, own, margin
+
+
+def subtree_leaves(nodes, cut) -> list[int]:
+    out, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        if nodes[i].is_leaf or i in cut:
+            out.append(i)
+        else:
+            stack.extend((nodes[i].left, nodes[i].right))
+    return sorted(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices(), st.one_of(st.sampled_from(CCP_ALPHA_GRID),
+                                   st.floats(0.0, 0.5)))
+def test_pruned_is_the_exact_smallest_minimizing_subtree(data, alpha):
+    D, _, y = data
+    assume(len(set(y)) >= 2)
+    nodes = grown_tree(D, y)
+    optimum, oracle_cut, own, margin = exact_prune(nodes, alpha)
+    cut = tree._pruned(nodes, alpha)
+    leaves = subtree_leaves(nodes, cut)
+    assert abs(sum(own[i] for i in leaves) - optimum) <= Fraction(1, 10**12)
+    if margin is None or margin > Fraction(1, 10**12):
+        assert leaves == subtree_leaves(nodes, oracle_cut)
+    X, rows = tree._as_columns(D), np.arange(len(y))
+    assert (tree._predict_nodes(nodes, X, rows, cut)
+            == tree._predict_nodes(tree._collapse(nodes, cut), X, rows))
 
 
 def test_json_roundtrip():
