@@ -44,6 +44,16 @@ class DimensionMismatchError(CtfidfError):
     """Operand shapes are incompatible."""
 
 
+class NonFiniteValueError(CtfidfError):
+    """A feature matrix holds a NaN or infinite value."""
+
+    def __init__(self, row: int, feature: int, value: float):
+        self.row = row
+        self.feature = feature
+        super().__init__(f"feature matrix holds {value} at row {row}, "
+                         f"feature {feature}")
+
+
 class BreakdownError(CtfidfError):
     """Lanczos vector norm underflowed and no replacement direction exists."""
 

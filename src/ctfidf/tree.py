@@ -4,17 +4,21 @@ Splits minimize weighted Gini impurity over every (feature, threshold)
 pair, thresholds being midpoints between consecutive distinct sorted
 values. A value equal to the threshold goes left. Ties between
 equally-good splits resolve to the lowest feature index, then the lowest
-threshold, so training is deterministic.
+threshold, so training is deterministic. Feature values must be finite.
 
 Dense arrays and sparse matrices share one split kernel. Each fit sorts
 the stored values once, by (feature, value): a dense array stores every
-cell, a sparse matrix only its nonzeros, and a feature's unstored rows
-count as one zero-valued entry. Children and cross-validation folds take
-their entries by a stable row filter, so nothing is sorted again, and
-both storage forms grow bit-identical trees. Split search therefore costs
+cell, a sparse matrix only its nonzeros. A node's entries are those
+values and their rows, with the features that store any and where each
+one's values end. Children and cross-validation folds take their entries
+by a stable row filter, so nothing is sorted again, and both storage
+forms grow bit-identical trees. A feature whose stored values miss some
+of a node's rows gets, while the node is scored, one zero-valued entry
+for those rows; a dense feature never does. Split search therefore costs
 time in proportion to the stored values of a node rather than to its
 rows times the feature count, which is why a sparse term matrix is cheap
-to fit.
+to fit. Cuts that cannot win are not scored: those inside a run of
+distinct values that all belong to one class (see :func:`_best_split`).
 
 The complexity parameter is selected from a fixed grid by stratified
 k-fold cross-validation maximizing mean F1. Each fold grows a single
@@ -35,6 +39,7 @@ import scipy.sparse as sp
 from .evaluation import confusion, kfold_indices, metrics
 from .exceptions import (
     DimensionMismatchError,
+    NonFiniteValueError,
     SingleClassError,
     UnknownPositiveLabelError,
 )
@@ -117,16 +122,26 @@ _SCORE_CAP = 1 << 16
 def _as_columns(X):
     """X as a float64 2-d array, or a canonical CSC copy without stored zeros.
 
-    The copy leaves the caller's matrix as it was.
+    The copy leaves the caller's matrix as it was. A NaN or infinite value
+    is rejected: a split needs each feature's values in order.
     """
     if sp.issparse(X):
         Xc = sp.csc_matrix(X, dtype=np.float64, copy=True)
         Xc.sum_duplicates()
         Xc.eliminate_zeros()
+        bad = ~np.isfinite(Xc.data)
+        if bad.any():
+            i = int(np.argmax(bad))
+            j = int(np.searchsorted(Xc.indptr, i, side="right")) - 1
+            raise NonFiniteValueError(int(Xc.indices[i]), j,
+                                      float(Xc.data[i]))
         return Xc
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatchError("feature matrix must be 2-d")
+    if not np.isfinite(X).all():
+        r, j = np.argwhere(~np.isfinite(X))[0]
+        raise NonFiniteValueError(int(r), int(j), float(X[r, j]))
     return X
 
 
@@ -141,21 +156,35 @@ def _column(X, j: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _sorted_entries(X):
-    """(feature, value, row) arrays of every stored value of an
-    :func:`_as_columns` matrix, sorted by (feature, value).
+    """(feature, end, value, row) entries of an :func:`_as_columns` matrix.
 
-    A dense array stores every cell, a CSC matrix only its nonzeros.
+    ``value`` and ``row`` hold every stored value sorted by (feature,
+    value); ``feature`` lists, in order, the features that store any, and
+    ``end`` where each one's values end. A dense array stores every cell,
+    a CSC matrix only its nonzeros.
     """
     if sp.issparse(X):
-        per_feature, val, row = np.diff(X.indptr), X.data, X.indices
-    else:
-        n, n_features = X.shape
-        per_feature = np.full(n_features, n)
-        val = X.T.ravel()
-        row = np.tile(np.arange(n, dtype=np.int32), n_features)
-    feat = np.repeat(np.arange(X.shape[1], dtype=np.int32), per_feature)
-    order = np.lexsort((val, feat))
-    return feat[order], val[order], row[order]
+        count = np.diff(X.indptr)
+        feat = np.repeat(np.arange(X.shape[1], dtype=np.int32), count)
+        order = np.lexsort((X.data, feat))
+        stored = np.flatnonzero(count)
+        return (stored, X.indptr[1:][stored], X.data[order],
+                X.indices[order])
+    n, n_features = X.shape
+    cols = np.ascontiguousarray(X.T)
+    order = np.argsort(cols, axis=1, kind="stable")
+    return (np.arange(n_features), n * np.arange(1, n_features + 1),
+            np.take_along_axis(cols, order, 1).ravel(),
+            order.astype(np.int32).ravel())
+
+
+def _subset(entries, keep: np.ndarray):
+    """The entries where ``keep`` holds, still in (feature, value) order."""
+    feat, end, val, row = entries
+    at = np.flatnonzero(keep)  # a gather by index beats a boolean mask
+    end = np.searchsorted(at, end)
+    stored = np.diff(end, prepend=0) > 0
+    return feat[stored], end[stored], val[at], row[at]
 
 
 def _gini(counts: np.ndarray, n: int) -> float:
@@ -169,68 +198,136 @@ def _best_split(entries, y_idx: np.ndarray, total: np.ndarray,
                 parent_gini: float):
     """Best (gain, feature, threshold) over a node's sorted entries.
 
-    ``entries`` are the (feature, value, row) arrays of the node's stored
-    values in (feature, value) order, ``y_idx`` the class of every row and
-    ``total`` the node's class counts. The node's rows that a feature does
-    not store are zeros: they enter as one zero-valued entry, weighted by
-    their class counts, between the feature's negative and positive values.
-    Candidates are the boundaries between distinct values of one feature;
-    the first maximum in (feature, value) order wins. Features are scored
-    in groups of about ``_SCORE_CAP`` stored values.
+    ``entries`` are the node's (feature, end, value, row) arrays from
+    :func:`_sorted_entries` or :func:`_subset`, ``y_idx`` the class of
+    every row and ``total`` the node's class counts. Candidates are the
+    boundaries between distinct values of one feature; the first maximum
+    in (feature, value) order wins. Features are scored in groups of
+    about ``_SCORE_CAP`` stored values.
+
+    A feature that stores fewer values than the node has rows gets one
+    zero entry between its negative and positive values, weighted by the
+    class counts of the rows it does not store; a feature that stores
+    every row, as every dense one does, gets none.
+
+    A cut between two stored entries of one class, each the only entry
+    with its value, is not scored. Along a stretch of such entries the
+    cut moves rows of that class from right to left, one at a time, while
+    the other classes' counts on each side stay fixed. With ``u`` rows on
+    the left, ``d`` of them of other classes and ``q`` the sum of those
+    classes' squared counts there, the left side's weighted Gini is
+    ``u * gini_l = 2 * d - (d * d + q) / u``, concave in ``u``, and
+    strictly so when ``d > 0``; the right side's is likewise. The node
+    holds another class on one side or the other, so the weighted Gini is
+    strictly concave along the stretch, and in exact arithmetic every cut
+    inside it scores worse than one of the stretch's two ends. Those ends
+    are scored, or are a feature's empty split, worth 0. A zero entry
+    stands for rows of any class, so it ends a stretch. All counts are
+    integers, exact in float64, so each scored cut's gain is the same
+    float whichever cuts are skipped.
     """
-    feat, val, row = entries
-    nn = int(total.sum())
+    feat, end, val, row = entries
+    nn = float(total.sum())
     n_classes = total.shape[0]
-    # where each feature's entries start, then the end
-    bounds = np.r_[np.flatnonzero(np.diff(feat, prepend=-1)), feat.shape[0]]
+    bounds = np.r_[0, end]
     best = (0.0, -1, 0.0)
     lo = 0
-    while lo < bounds.shape[0] - 1:
+    while lo < feat.shape[0]:
         hi = np.searchsorted(bounds, bounds[lo] + _SCORE_CAP, side="right")
         hi = max(lo + 1, int(hi) - 1)
-        group = hi - lo
-        v = val[bounds[lo]:bounds[hi]]
-        c = y_idx[row[bounds[lo]:bounds[hi]]]
-        seg = np.repeat(np.arange(group), np.diff(bounds[lo:hi + 1]))
-        stored = np.bincount(seg * n_classes + c, minlength=group * n_classes)
-        missing = total - stored.reshape(group, n_classes)
-        zeros = np.flatnonzero(missing.sum(axis=1) > 0)
-        at = (bounds[lo + zeros] - bounds[lo]
-              + np.bincount(seg[v < 0], minlength=group)[zeros])
-        v = np.insert(v, at, 0.0)
-        seg = np.insert(seg, at, zeros)
-        cut = np.flatnonzero((seg[:-1] == seg[1:]) & (v[:-1] < v[1:]))
-        left_n = np.zeros(cut.shape[0])
-        sum_sq_l = np.zeros(cut.shape[0])
-        sum_sq_r = np.zeros(cut.shape[0])
-        for k in range(n_classes):
-            weight = np.insert((c == k).astype(np.float64), at,
-                               missing[zeros, k])
-            # every feature's entries weigh total[k] in all, so subtracting
-            # that of the features before restarts the count per feature
-            lc = np.cumsum(weight)[cut] - seg[cut] * total[k]
-            left_n += lc
-            sum_sq_l += lc * lc
-            sum_sq_r += (total[k] - lc) * (total[k] - lc)
+        s, e = bounds[lo], bounds[hi]
+        local = bounds[lo:hi + 1] - s
+        v = val[s:e]
+        c = y_idx[row[s:e]]
+        short = np.flatnonzero(np.diff(local) < nn)
+        zero_at, missing = short, np.zeros((0, n_classes))  # no zero entries
+        if short.shape[0]:
+            v, c, local, zero_at, missing = _with_zero_entries(
+                v, c, local, short, total)
+        step = v[:-1] < v[1:]
+        last = local[1:-1] - 1  # each feature's last entry but the group's
+        step[last] = False
+        # a cut between two one-entry value runs of the same class lies
+        # inside a same-class stretch
+        run_end = step.copy()
+        run_end[last] = True
+        inside = c[:-1] == c[1:]
+        inside[1:] &= run_end[:-1]
+        inside[:-1] &= run_end[1:]
+        cut = np.flatnonzero(step & ~inside)
+        if cut.shape[0] == 0:
+            lo = hi
+            continue
+        # the feature of each cut, within the group
+        seg = np.repeat(np.arange(local.shape[0] - 1),
+                        np.diff(np.searchsorted(cut, local)))
+        # every feature's entries weigh total[k] (nn in all), so
+        # subtracting that of the features before restarts each count
+        if short.shape[0]:
+            left_n = (_running(c >= 0, zero_at, missing.sum(axis=1))[cut]
+                      - seg * nn)
+        else:
+            left_n = cut + 1.0 - seg * nn
+        left = [_running(c == k, zero_at, missing[:, k])[cut] - seg * total[k]
+                for k in range(n_classes - 1)]
+        left.append(left_n - sum(left))
+        sum_sq_l = sum(lc * lc for lc in left)
+        sum_sq_r = sum((tk - lc) * (tk - lc) for tk, lc in zip(total, left))
         right_n = nn - left_n
         gini_l = 1.0 - sum_sq_l / (left_n * left_n)
         gini_r = 1.0 - sum_sq_r / (right_n * right_n)
         gain = parent_gini - (left_n * gini_l + right_n * gini_r) / nn
-        if cut.shape[0]:
-            t = int(np.argmax(gain))
-            if gain[t] > best[0]:
-                i = cut[t]
-                best = (float(gain[t]), int(feat[bounds[lo + seg[i]]]),
-                        float((v[i] + v[i + 1]) / 2.0))
+        t = int(np.argmax(gain))
+        if gain[t] > best[0]:
+            i = cut[t]
+            best = (float(gain[t]), int(feat[lo + seg[t]]),
+                    float((v[i] + v[i + 1]) / 2.0))
         lo = hi
     return best
+
+
+def _running(is_k: np.ndarray, zero_at: np.ndarray,
+             zero_weight: np.ndarray) -> np.ndarray:
+    """Running count of the entries where ``is_k`` holds, the zero entries
+    at ``zero_at`` adding ``zero_weight`` instead."""
+    if zero_at.shape[0]:
+        is_k = is_k.astype(np.float64)
+        is_k[zero_at] = zero_weight
+    return np.cumsum(is_k)
+
+
+def _with_zero_entries(v, c, local, short, total):
+    """A scoring group's values, classes and feature bounds with one zero
+    entry added to each feature in ``short``, the features that do not
+    store every row; the zero entries' positions and class counts.
+
+    A zero entry has class -1, so it matches no stored entry's class.
+    """
+    n_classes = total.shape[0]
+    group = local.shape[0] - 1
+    seg = np.repeat(np.arange(group), np.diff(local))
+    stored = np.bincount(seg * n_classes + c, minlength=group * n_classes)
+    missing = total - stored.reshape(group, n_classes)[short]
+    # after each feature's negative values; each earlier zero shifts it
+    zero_at = (local[short] + np.bincount(seg[v < 0], minlength=group)[short]
+               + np.arange(short.shape[0]))
+    is_stored = np.ones(v.shape[0] + short.shape[0], dtype=bool)
+    is_stored[zero_at] = False
+    v_all = np.zeros(is_stored.shape[0])
+    v_all[is_stored] = v
+    c_all = np.full(is_stored.shape[0], -1, dtype=c.dtype)
+    c_all[is_stored] = c
+    shift = np.zeros(group + 1, dtype=local.dtype)
+    shift[short + 1] = 1
+    local = local + np.cumsum(shift)
+    return v_all, c_all, local, zero_at, missing
 
 
 def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
           labels: list[str], params: TreeParams) -> list[TreeNode]:
     """Grow a tree on ``rows`` of X, whose sorted entries are ``entries``."""
     nodes = [_make_node(y_idx, rows, labels)]
-    # stack of (node_slot, row_indices, (feature, value, row) entries, depth)
+    # stack of (node_slot, row_indices, sorted entries, depth)
     stack = [(0, rows, entries, 0)]
     goes_left = np.zeros(X.shape[0], dtype=bool)
     while stack:
@@ -250,17 +347,17 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
         if left_rows.shape[0] == 0 or right_rows.shape[0] == 0:
             continue
         goes_left[rows] = mask
-        keep = goes_left[entries[2]]  # by the row of each entry
+        keep = goes_left[entries[3]]  # by the row of each entry
         node.feature = int(j)
         node.threshold = float(thr)
         node.left = len(nodes)
         nodes.append(_make_node(y_idx, left_rows, labels))
         node.right = len(nodes)
         nodes.append(_make_node(y_idx, right_rows, labels))
-        stack.append((node.left, left_rows,
-                      tuple(a[keep] for a in entries), depth + 1))
-        stack.append((node.right, right_rows,
-                      tuple(a[~keep] for a in entries), depth + 1))
+        stack.append((node.left, left_rows, _subset(entries, keep),
+                      depth + 1))
+        stack.append((node.right, right_rows, _subset(entries, ~keep),
+                      depth + 1))
     return nodes
 
 
@@ -356,6 +453,7 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassError(f"need >= 2 classes, got {labels}")
+    X = _as_columns(X)
     if X.shape[0] != len(y):
         raise DimensionMismatchError(
             f"X has {X.shape[0]} rows, y has {len(y)} labels")
@@ -367,7 +465,6 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
             f"{positive!r} not among labels {labels}")
     lab_to_idx = {lab: i for i, lab in enumerate(labels)}
     y_idx = np.asarray([lab_to_idx[lab] for lab in y], dtype=np.int64)
-    X = _as_columns(X)
     entries = _sorted_entries(X)
 
     cv_scores: dict[float, float] = {}
@@ -381,9 +478,8 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
             tr = all_idx[~test_mask]
             te = all_idx[test_mask]
             # a stable filter keeps the root's (feature, value) order
-            in_fold = ~test_mask[entries[2]]
-            grown = _grow(X, tuple(a[in_fold] for a in entries), tr, y_idx,
-                          labels, params)
+            grown = _grow(X, _subset(entries, ~test_mask[entries[3]]), tr,
+                          y_idx, labels, params)
             y_te = [y[i] for i in te]
             for a in CCP_ALPHA_GRID:
                 pred = _predict_nodes(grown, X, te, _pruned(grown, a))

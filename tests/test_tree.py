@@ -12,6 +12,7 @@ from ctfidf import tree
 from ctfidf.evaluation import confusion, kfold_indices, metrics
 from ctfidf.exceptions import (
     DimensionMismatchError,
+    NonFiniteValueError,
     SingleClassError,
     UnknownPositiveLabelError,
 )
@@ -193,6 +194,24 @@ class TestTraining:
                 scores.append(metrics(cm).f1)
             assert model.cv_mean_f1[a] == float(np.mean(scores))
 
+    def test_nested_list_input(self):
+        X, y = noisy_data(seed=14, n=40)
+        from_list = train_dtree(X.tolist(), y, TreeParams(ccp_alpha=0.0))
+        assert from_list.to_dict() == train_dtree(
+            X, y, TreeParams(ccp_alpha=0.0)).to_dict()
+        assert predict_dtree(from_list, X.tolist()) == y
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_non_finite_rejected(self, fmt, bad):
+        X = np.array([[0.5, 1.0], [1.0, 0.0], [0.5, 0.5], [2.0, 0.0]])
+        X[2, 1] = bad
+        X = sp.csr_matrix(X) if fmt == "csr" else X
+        with pytest.raises(NonFiniteValueError,
+                           match="at row 2, feature 1") as err:
+            train_dtree(X, ["A", "B", "A", "B"], TreeParams(ccp_alpha=0.0))
+        assert (err.value.row, err.value.feature) == (2, 1)
+
     def test_unknown_positive_label_rejected(self):
         X, y = separable_1d()
         with pytest.raises(UnknownPositiveLabelError, match="'C' not among"):
@@ -219,6 +238,15 @@ class TestPredict:
         X, y = noisy_data(seed=10)
         model = train_dtree(X, y, TreeParams(ccp_alpha=0.0), seed=1)
         assert predict_dtree(model, X) == y
+
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_non_finite_rejected(self, fmt):
+        X, y = separable_1d()
+        model = train_dtree(X, y, cv_folds=2, seed=0)
+        Xq = np.array([[1.0], [-1.0], [np.nan]])
+        Xq = sp.csr_matrix(Xq) if fmt == "csr" else Xq
+        with pytest.raises(NonFiniteValueError, match="row 2, feature 0"):
+            predict_dtree(model, Xq)
 
     def test_feature_count_mismatch(self):
         X, y = separable_1d()
@@ -316,6 +344,47 @@ def test_dense_and_csr_grow_the_exhaustive_tree(data):
     root = dense["nodes"][0]
     assert (root["featureIndex"], root["threshold"]) == exhaustive_root_split(
         D, y, root["impurity"])
+
+
+@st.composite
+def continuous_matrices(draw):
+    """Dense matrix of continuous draws, so no nonzero value repeats, with
+    a share of its cells zero; its CSR copy; and labels."""
+    n = draw(st.integers(2, 40))
+    f = draw(st.integers(1, 5))
+    n_classes = draw(st.integers(2, 3))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = rng.standard_normal((n, f))
+    D[rng.random((n, f)) < zero_share] = 0.0
+    y = draw(st.lists(st.sampled_from("abc"[:n_classes]), min_size=n,
+                      max_size=n))
+    return D, sp.csr_matrix(D), y
+
+
+@settings(max_examples=150, deadline=None)
+@given(continuous_matrices(), st.sampled_from([tree._SCORE_CAP, 1]))
+def test_every_split_is_the_exhaustive_best(data, cap):
+    # distinct values make one-entry value runs, so the kernel's
+    # same-class-stretch skip applies at every depth
+    D, X, y = data
+    assume(len(set(y)) >= 2)
+    with mock.patch.object(tree, "_SCORE_CAP", cap):
+        dense = train_dtree(D, y, TreeParams(ccp_alpha=0.0)).to_dict()
+        assert train_dtree(X, y, TreeParams(ccp_alpha=0.0)).to_dict() == dense
+    nodes = dense["nodes"]
+    stack = [(0, np.arange(len(y)))]
+    while stack:
+        i, rows = stack.pop()
+        node = nodes[i]
+        if node["leftChild"] is None:
+            continue
+        assert (node["featureIndex"], node["threshold"]) == \
+            exhaustive_root_split(D[rows], [y[r] for r in rows],
+                                  node["impurity"])
+        goes_left = D[rows, node["featureIndex"]] <= node["threshold"]
+        stack.append((node["leftChild"], rows[goes_left]))
+        stack.append((node["rightChild"], rows[~goes_left]))
 
 
 def grown_tree(D: np.ndarray, y: list[str]) -> list[tree.TreeNode]:
