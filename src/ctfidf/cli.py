@@ -48,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output directory")
     run.add_argument("--ctf-dense", action="store_true",
                      help="apply the clement offset at every cell (densifies)")
-    run.add_argument("--project-scaled", action="store_true",
-                     help="scale projections by inverse singular values")
 
     explain = sub.add_parser("explain",
                              help="rank influential stems of a tree model")
@@ -86,8 +84,7 @@ def _overrides(args: argparse.Namespace) -> dict:
              "split.seed": args.seed, "reduce.seed": args.seed,
              "model.hyperparameters.seed": args.seed,
              "cvFolds": args.folds, "positiveLabel": args.positive_label,
-             "outputDir": args.out, "ctfDense": args.ctf_dense or None,
-             "projectScaled": args.project_scaled or None}
+             "outputDir": args.out, "ctfDense": args.ctf_dense or None}
     return {key: value for key, value in flags.items() if value is not None}
 
 

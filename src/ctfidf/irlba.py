@@ -10,12 +10,21 @@ direction (augmentation) and the recurrence continues from there.
 Implementation notes:
 
 * Reorthogonalization is one-sided (Simon & Zha 2000; Baglama & Reichel
-  2005). Only the right basis V gets classical Gram-Schmidt applied twice
-  against all its columns; while V stays orthonormal, the recurrence keeps
-  the left basis U orthonormal to about the same precision, so each new u
-  is orthogonalized only against its predecessor. The exception is the
+  2005). Only the right basis V is orthogonalized against all its
+  columns; while V stays orthonormal, the recurrence keeps the left basis
+  U orthonormal to about the same precision, so each new u is
+  orthogonalized only against its predecessor. The exception is the
   first column after a restart, which couples to every kept Ritz vector
   (the arrowhead column) and is orthogonalized against all of them.
+* Each V step is the textbook Lanczos step: in exact arithmetic
+  A^T u_j = alpha_j v_j + beta_j v_{j+1}, so the known term alpha_j v_j is
+  subtracted first and Gram-Schmidt only cleans the remainder. Every
+  orthogonalization is one classical Gram-Schmidt pass, with a second
+  pass only when the first keeps less than 1/sqrt(2) of the vector's norm
+  (Daniel, Gragg, Kaufman & Stewart 1976). One pass leaves rounding of
+  about eps * ||w_in|| along the basis, which is small against a result
+  that kept most of that norm; without the local term first, the raw
+  A^T u_j would lose most of its norm to alpha_j v_j and always need two.
 * Orientation: full reorthogonalization costs time in proportion to the
   length of the vectors it runs on, and text matrices are often wide. A
   matrix with fewer rows than columns is therefore run transposed, so
@@ -27,7 +36,10 @@ Implementation notes:
   longer small against what remains. The components along older u's then
   grow unchecked and U loses orthonormality. So a local step that leaves
   less than ``_LOCAL_KEEP`` of the norm of A v_j is redone against the
-  whole of U.
+  whole of U. So is one whose alpha_j is below ``_LOCAL_FLOOR`` of the
+  norm estimate: u_j = w / alpha_j then carries rounding of about
+  eps * anorm / alpha_j, which on a graded spectrum reaching down to
+  1e-10 * s_1 broke U while every Ritz residual still passed.
 * The small matrix B stores the measured projection coefficients
   ``U^T A v`` rather than the textbook bidiagonal entries. In exact
   arithmetic these coincide (and after an augmented restart they produce
@@ -58,6 +70,12 @@ _BREAKDOWN_REL = 1e-12  # of the running norm estimate
 # share of ||A v_j|| a local orthogonalization step must leave, or the
 # step is redone against all of U (see the module notes)
 _LOCAL_KEEP = 0.5
+# alpha_j below this share of the norm estimate also redoes the local step:
+# its rounding, about eps * anorm / alpha_j relative to u_j, is then too
+# large for the recurrence to keep U orthonormal (see the module notes)
+_LOCAL_FLOOR = 1e-6
+# share of its norm a Gram-Schmidt pass must keep, or a second pass runs
+_DGKS_KEEP = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -102,6 +120,7 @@ class SvdFactors:
     tol: float
     restarts: int
     seed: int
+    residual: float  # worst Ritz residual at return, relative to s_1
 
 
 def spmv(A, x: np.ndarray) -> np.ndarray:
@@ -122,16 +141,23 @@ def spmv_t(A, x: np.ndarray) -> np.ndarray:
     return np.asarray(A.T @ x).ravel()
 
 
-def _cgs2(Q: np.ndarray, w: np.ndarray):
-    """Classical Gram-Schmidt, applied twice, against the columns of Q.
+def _orthogonalize(Q: np.ndarray, w: np.ndarray):
+    """Classical Gram-Schmidt against the columns of Q, twice only if needed.
 
-    Returns the orthogonalized vector and the measured coefficients.
+    One pass, then the Daniel-Gragg-Kaufman-Stewart (1976) test: if the
+    pass kept less than ``_DGKS_KEEP`` of the norm of w, the rounding left
+    along Q is no longer small against what remains, so a second pass
+    takes it out. Returns the orthogonalized vector and the summed measured
+    coefficients (w_in = Q c + w_out).
     """
-    c1 = Q.T @ w
-    w = w - Q @ c1
-    c2 = Q.T @ w
-    w = w - Q @ c2
-    return w, c1 + c2
+    norm_in = np.linalg.norm(w)
+    c = Q.T @ w
+    w = w - Q @ c
+    if np.linalg.norm(w) < _DGKS_KEEP * norm_in:
+        c2 = Q.T @ w
+        w = w - Q @ c2
+        c = c + c2
+    return w, c
 
 
 def _fresh_direction(rng: np.random.Generator, basis: np.ndarray,
@@ -141,7 +167,7 @@ def _fresh_direction(rng: np.random.Generator, basis: np.ndarray,
         return None
     for _ in range(3):
         cand = rng.standard_normal(dim)
-        cand, _ = _cgs2(basis[:, :ncols], cand)
+        cand, _ = _orthogonalize(basis[:, :ncols], cand)
         nrm = np.linalg.norm(cand)
         if nrm > 1e-6:
             return cand / nrm
@@ -165,11 +191,12 @@ def _extend(A, U: np.ndarray, V: np.ndarray, B: np.ndarray,
         Av = spmv(A, V[:, j])
         # the first column of a cycle couples to every column before it
         lo = 0 if j == j_start else j - 1
-        w, c = _cgs2(U[:, lo:j], Av)
+        w, c = _orthogonalize(U[:, lo:j], Av)
         alpha = float(np.linalg.norm(w))
-        if lo > 0 and alpha < _LOCAL_KEEP * float(np.linalg.norm(Av)):
+        if lo > 0 and (alpha < _LOCAL_KEEP * float(np.linalg.norm(Av))
+                       or alpha < _LOCAL_FLOOR * anorm):
             lo = 0
-            w, c = _cgs2(U[:, :j], Av)
+            w, c = _orthogonalize(U[:, :j], Av)
             alpha = float(np.linalg.norm(w))
         anorm = max(anorm, alpha)
         B[lo:j, j] = c
@@ -180,8 +207,11 @@ def _extend(A, U: np.ndarray, V: np.ndarray, B: np.ndarray,
             B[j, j] = 0.0
             U[:, j] = _fresh_direction(rng, U, j, m)
 
+        # A^T u_j = alpha_j v_j + beta_j v_{j+1}: take the known term out
+        # first, so Gram-Schmidt sees only the small remainder
         r = spmv_t(A, U[:, j])
-        r, _ = _cgs2(V[:, :j + 1], r)
+        r -= B[j, j] * V[:, j]
+        r, _ = _orthogonalize(V[:, :j + 1], r)
         beta = float(np.linalg.norm(r))
         anorm = max(anorm, beta)
         if beta > _BREAKDOWN_REL * anorm and beta > 0.0:
@@ -231,15 +261,16 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
         done = bool(np.all(residuals <= cfg.tol * s[0]))
 
         if done or restarts >= cfg.max_restarts:
+            worst = float(residuals.max() / s[0]) if s[0] > 0 else 0.0
             Uk = U @ W[:, :k]
             Vk = V[:, :work] @ Yt[:k, :].T
             if wide:
                 Uk, Vk = Vk, Uk
             factors = SvdFactors(U=Uk, s=s[:k].copy(), V=Vk, k=k,
-                                 tol=cfg.tol, restarts=restarts, seed=cfg.seed)
+                                 tol=cfg.tol, restarts=restarts, seed=cfg.seed,
+                                 residual=worst)
             if done:
                 return factors
-            worst = float(residuals.max() / s[0]) if s[0] > 0 else 0.0
             raise NoConvergenceError(
                 f"{k} singular triplets not converged after {restarts} "
                 f"restarts (worst relative residual {worst:.3e})",
@@ -255,23 +286,17 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
         restarts += 1
 
 
-def project(X, factors: SvdFactors, scaled: bool = False) -> np.ndarray:
+def project(X, factors: SvdFactors) -> np.ndarray:
     """Fold document vectors into the latent space: X @ V.
 
     For the training matrix this equals U @ diag(s) up to the residual
-    tolerance. With ``scaled=True`` columns are divided by the singular
-    values (zero values give zero columns).
+    tolerance.
     """
     if X.shape[1] != factors.V.shape[0]:
         raise DimensionMismatchError(
             f"matrix has {X.shape[1]} columns, factors expect "
             f"{factors.V.shape[0]}")
-    Z = np.asarray(X @ factors.V)
-    if scaled:
-        inv = np.divide(1.0, factors.s, out=np.zeros_like(factors.s),
-                        where=factors.s > 0)
-        Z = Z * inv
-    return Z
+    return np.asarray(X @ factors.V)
 
 
 def save_factors(path: str, factors: SvdFactors) -> None:
@@ -281,7 +306,7 @@ def save_factors(path: str, factors: SvdFactors) -> None:
     with open(path, "wb") as fh:
         np.savez(fh, s=factors.s, V=np.ascontiguousarray(factors.V),
                  k=factors.k, tol=factors.tol, restarts=factors.restarts,
-                 seed=factors.seed)
+                 seed=factors.seed, residual=factors.residual)
 
 
 def load_factors(path: str) -> SvdFactors:
@@ -289,4 +314,4 @@ def load_factors(path: str) -> SvdFactors:
     with np.load(path, allow_pickle=False) as z:
         return SvdFactors(U=None, s=z["s"], V=z["V"], k=int(z["k"]),
                           tol=float(z["tol"]), restarts=int(z["restarts"]),
-                          seed=int(z["seed"]))
+                          seed=int(z["seed"]), residual=float(z["residual"]))

@@ -137,7 +137,6 @@ _EXPERIMENT = {
     "split": ("split", _SPLIT),
     "cvFolds": ("cv_folds", "integer", ">=", 2),
     "positiveLabel": ("positive_label", "string"),
-    "projectScaled": ("project_scaled", "boolean"),
     "outputDir": ("output_dir", "string"),
 }
 
@@ -162,7 +161,6 @@ class ExperimentConfig:
     cv_folds: int = 10
     positive_label: str = "spam"
     output_dir: str = "runs/experiment"
-    project_scaled: bool = False
 
     def validate(self) -> None:
         """Range and consistency checks; each error names the JSON key."""
@@ -395,8 +393,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             except ConfigError as exc:  # IrlbaConfig names its own fields
                 raise ConfigError(_key(f"reduce.{exc.field}"),
                                   exc.message) from exc
-            F_train = project(X_train, factors, scaled=config.project_scaled)
-            F_test = project(X_test, factors, scaled=config.project_scaled)
+            F_train = project(X_train, factors)
+            F_test = project(X_test, factors)
         else:
             F_train, F_test = X_train, X_test
 
@@ -421,6 +419,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         "vocabularySize": len(vocab),
         "effectiveK": effective_k,
         "svdRestarts": factors.restarts if factors is not None else None,
+        "svdResidual": factors.residual if factors is not None else None,
         "machine": f"{platform.platform()} / {platform.processor() or 'unknown-cpu'}",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }

@@ -7,9 +7,14 @@ or as the root of an attribute chain. ``__init__.py`` is exempt, since its
 imports are the package's re-exports. A module-level name with one leading
 underscore counts as referenced when it is read, taken as an attribute or
 imported anywhere in the package outside its own definition.
+
+The benchmark's tracer (``perfbench/tracing.py``) wraps package functions
+by module and name, so every name it lists must still exist in
+``ctfidf``; the file is loaded from its path and nothing is installed.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -98,3 +103,16 @@ def test_every_private_name_is_referenced():
     package = Path(ctfidf.__file__).parent.glob("*.py")
     assert unreferenced_privates(
         {p.stem: p.read_text(encoding="utf-8") for p in package}) == []
+
+
+def test_benchmark_tracer_targets_exist():
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = ([(module, attr) for module, attr, _ in tracing._WRAPPED]
+               + list(tracing._COUNTED))
+    assert len(targets) > 2
+    for module, attr in targets:
+        assert module.__name__.startswith("ctfidf.")
+        assert callable(getattr(module, attr, None)), (module.__name__, attr)

@@ -11,6 +11,7 @@ from ctfidf.exceptions import (
 )
 from ctfidf.irlba import (
     IrlbaConfig,
+    _orthogonalize,
     irlba,
     load_factors,
     project,
@@ -159,6 +160,32 @@ class TestIrlba:
         assert np.abs(f.s - dense).max() <= 1e-6 * dense[0]
         check_factors(A, f, 1e-8)
 
+    def test_graded_spectrum_down_to_rounding(self):
+        # values from 1 down to 1e-12 and k = r - 1: alpha_j falls far
+        # below the norm estimate, and the local U step's rounding then
+        # breaks U unless the step is redone against all of U
+        for m, n in ((200, 60), (60, 200), (150, 150)):
+            r = min(m, n)
+            rng = np.random.default_rng(3)
+            L = np.linalg.qr(rng.standard_normal((m, r)))[0]
+            R = np.linalg.qr(rng.standard_normal((n, r)))[0]
+            A = sp.csr_matrix((L * np.logspace(0, -12, r)) @ R.T)
+            f = irlba(A, IrlbaConfig(k=r - 1, tol=1e-8, seed=1))
+            check_factors(A, f, 1e-8)
+
+    def test_residual_is_the_worst_ritz_residual(self):
+        for m, n in ((120, 80), (80, 120)):
+            A = random_sparse(m, n, 0.05, seed=25)
+            f = irlba(A, IrlbaConfig(k=6, tol=1e-6, seed=4))
+            r1 = np.linalg.norm(A @ f.V - f.U * f.s, axis=0).max()
+            r2 = np.linalg.norm(A.T @ f.U - f.V * f.s, axis=0).max()
+            assert 0 < f.residual <= 1e-6
+            assert abs(max(r1, r2) / f.s[0] - f.residual) <= 1e-12
+            with pytest.raises(NoConvergenceError) as err:
+                irlba(A, IrlbaConfig(k=6, work_size=8, tol=1e-14,
+                                     max_restarts=0, seed=4))
+            assert err.value.best.residual == err.value.worst_residual
+
     def test_zero_matrix(self):
         A = sp.csr_matrix((20, 15))
         f = irlba(A, IrlbaConfig(k=3, tol=1e-8, seed=7))
@@ -193,6 +220,26 @@ class TestIrlba:
             irlba(A, IrlbaConfig(k=5, tol=-1.0))
 
 
+class TestOrthogonalize:
+    @pytest.mark.parametrize("inside, passes", ((0.9999, 2), (1e-3, 1)))
+    def test_second_pass_only_when_needed(self, inside, passes):
+        """``inside`` is the share of the input's norm in span(Q)."""
+        rng = np.random.default_rng(24)
+        Q = np.linalg.qr(rng.standard_normal((200, 30)))[0]
+        a = Q @ rng.standard_normal(30)
+        b = rng.standard_normal(200)
+        b -= Q @ (Q.T @ b)
+        b -= Q @ (Q.T @ b)
+        w_in = (inside * a / np.linalg.norm(a)
+                + np.sqrt(1 - inside ** 2) * b / np.linalg.norm(b))
+        w_out, c = _orthogonalize(Q, w_in)
+        # one pass gives exactly this; a second pass changes it
+        one_pass = w_in - Q @ (Q.T @ w_in)
+        assert np.array_equal(w_out, one_pass) == (passes == 1)
+        assert np.abs(Q.T @ w_out).max() <= 1e-14 * np.linalg.norm(w_out)
+        assert np.linalg.norm(Q @ c + w_out - w_in) <= 1e-14
+
+
 class TestProject:
     def test_training_projection_equals_us(self):
         A = random_sparse(60, 45, 0.1, seed=18)
@@ -219,12 +266,6 @@ class TestProject:
         frob = np.linalg.norm(A.toarray() - recon)
         assert frob <= tail + 1e-8 * dense_s[0]
 
-    def test_scaled_projection(self):
-        A = random_sparse(30, 20, 0.3, seed=21)
-        f = irlba(A, IrlbaConfig(k=4, tol=1e-9, seed=12))
-        Z = project(A, f, scaled=True)
-        assert np.abs(Z - f.U).max() <= 1e-8
-
     def test_dimension_mismatch(self):
         A = random_sparse(30, 20, 0.3, seed=22)
         f = irlba(A, IrlbaConfig(k=4, tol=1e-8, seed=13))
@@ -241,7 +282,8 @@ def test_save_load_roundtrip(tmp_path):
     assert g.U is None
     assert np.array_equal(g.s, f.s)
     assert np.array_equal(g.V, f.V)
-    assert (g.k, g.tol, g.restarts, g.seed) == (f.k, f.tol, f.restarts, f.seed)
+    assert ((g.k, g.tol, g.restarts, g.seed, g.residual)
+            == (f.k, f.tol, f.restarts, f.seed, f.residual))
 
 
 def test_oracle_sweep_with_subspace_angles():
