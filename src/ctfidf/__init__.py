@@ -13,7 +13,6 @@ from .evaluation import (
     confusion,
     kfold_indices,
     metrics,
-    time_train,
 )
 from .ingest import (
     LabeledCorpus,

@@ -46,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--folds")
     run.add_argument("--positive-label")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--ctf-dense", action="store_true",
-                     help="apply the clement offset at every cell (densifies)")
 
     explain = sub.add_parser("explain",
                              help="rank influential stems of a tree model")
@@ -84,7 +82,7 @@ def _overrides(args: argparse.Namespace) -> dict:
              "split.seed": args.seed, "reduce.seed": args.seed,
              "model.hyperparameters.seed": args.seed,
              "cvFolds": args.folds, "positiveLabel": args.positive_label,
-             "outputDir": args.out, "ctfDense": args.ctf_dense or None}
+             "outputDir": args.out}
     return {key: value for key, value in flags.items() if value is not None}
 
 

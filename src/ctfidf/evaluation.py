@@ -1,11 +1,10 @@
-"""Confusion-matrix metrics, k-fold utilities, and training-time capture."""
+"""Confusion-matrix metrics, k-fold utilities, and the experiment report."""
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,21 +112,6 @@ def kfold_indices(labels: Sequence[str], k: int,
             at += size
         offset = (offset + extra) % k
     return [np.sort(np.asarray(a, dtype=np.int64)) for a in assignments]
-
-
-def time_train(train_call: Callable[[], object]):
-    """Run a training call under a monotonic clock.
-
-    Returns (result, elapsed_ms). On failure the partial elapsed time is
-    attached to the exception as ``elapsed_ms`` before re-raising.
-    """
-    t0 = time.perf_counter()
-    try:
-        result = train_call()
-    except Exception as exc:
-        exc.elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
-        raise
-    return result, int(round((time.perf_counter() - t0) * 1000))
 
 
 @dataclass(frozen=True)

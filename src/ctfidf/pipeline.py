@@ -2,8 +2,8 @@
 
 One experiment is: load and label-normalize a dataset, split it, fit the
 vocabulary / weighting / (optionally) the truncated SVD on the training
-partition only, project both partitions, train a classifier under a
-timer, and score the held-out test set. Everything lands in the output
+partition only, project both partitions, train a classifier, and score
+the held-out test set, timing each stage. Everything lands in the output
 directory: ``report.json``, ``model.json``, ``vocab.json``, and
 ``factors.bin`` when reduction ran.
 
@@ -20,11 +20,12 @@ import datetime
 import json
 import operator
 import platform
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import dfm, ingest, weighting
-from .evaluation import EvalReport, confusion, metrics, time_train
+from .evaluation import EvalReport, confusion, metrics
 from .exceptions import ConfigError, CtfidfError, UnsupportedModelError
 from .irlba import IrlbaConfig, SvdFactors, irlba, project, save_factors
 from .preprocess import PreprocessConfig, preprocess_corpus
@@ -96,8 +97,6 @@ _DATASET = {
 _PREPROCESS = {
     "stopwordList": ("stopword_list", "string"),
     "stopwordHash": ("stopword_hash", "string"),
-    "removeNumbers": ("remove_numbers", "boolean"),
-    "minTokenLength": ("min_token_length", "integer"),
 }
 _REDUCE = {
     "enabled": ("enabled", "boolean"),
@@ -130,7 +129,6 @@ _EXPERIMENT = {
     "preprocess": ("preprocess", _PREPROCESS),
     "weighting": ("weighting_scheme", "string",
                   "one of", tuple(s.value for s in weighting.Scheme)),
-    "ctfDense": ("ctf_dense", "boolean"),
     "minDocFreq": ("min_doc_freq", "integer", ">=", 1),
     "reduce": ("reduce", _REDUCE),
     "model": ("model", _MODEL),
@@ -152,7 +150,6 @@ class ExperimentConfig:
     dataset: DatasetConfig
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     weighting_scheme: str = "ctfidf"  # "tfidf" | "ctfidf"
-    ctf_dense: bool = False
     min_doc_freq: int = 1
     reduce: ReduceConfig = field(default_factory=ReduceConfig)
     model: ModelSpec = field(default_factory=ModelSpec)
@@ -167,9 +164,6 @@ class ExperimentConfig:
         _check_bounds(self.resolved(), _EXPERIMENT)
         for label, to in self.dataset.label_mapping.items():
             _typed(to, "string", f"{_key('dataset.label_mapping')}.{label}")
-        if self.ctf_dense and self.weighting_scheme != "ctfidf":
-            raise ConfigError(_key("ctf_dense"),
-                              "only valid with ctfidf weighting")
         work, k = self.reduce.work_size, self.reduce.k
         if work is not None and work <= k:
             raise ConfigError(_key("reduce.work_size"),
@@ -322,14 +316,18 @@ def _train_model(config: ExperimentConfig, X, y: list[str]):
 
 
 @contextlib.contextmanager
-def _stage(name: str):
-    """Tag escaping pipeline errors with the stage they came from."""
+def _stage(name: str, times: dict[str, int]):
+    """Record the stage's wall-clock ms in ``times`` under its name, and tag
+    escaping pipeline errors with the stage they came from."""
+    t0 = time.perf_counter()
     try:
         yield
     except (CtfidfError, OSError) as exc:
         if getattr(exc, "stage", None) is None:
             exc.stage = name
         raise
+    finally:
+        times[name] = int(round((time.perf_counter() - t0) * 1000))
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
@@ -337,8 +335,9 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     config.validate()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    times: dict[str, int] = {}  # stage -> wall-clock ms
 
-    with _stage("ingest"):
+    with _stage("ingest", times):
         corpus = ingest.load_dataset(config.dataset.path,
                                      config.dataset.load_format(),
                                      keep_empty=config.dataset.keep_empty,
@@ -361,35 +360,32 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                               f"{config.cv_folds} folds exceed the "
                               f"{len(train)} training record(s)")
 
-    with _stage("preprocess"):
+    with _stage("preprocess", times):
         train_docs = preprocess_corpus(train.texts(), config.preprocess)
         test_docs = preprocess_corpus(test.texts(), config.preprocess)
 
-    with _stage("dfm"):
+    with _stage("dfm", times):
         vocab = dfm.build_vocabulary(train_docs,
                                      min_doc_freq=config.min_doc_freq)
         X_train_counts = dfm.build_dfm(train_docs, vocab)
         X_test_counts = dfm.build_dfm(test_docs, vocab)
 
-    with _stage("weighting"):
+    with _stage("weighting", times):
         scheme = weighting.Scheme(config.weighting_scheme)
         wmodel = weighting.fit_weighting(vocab, scheme)
-        X_train = weighting.apply_weighting(X_train_counts, wmodel,
-                                            dense_offset=config.ctf_dense)
-        X_test = weighting.apply_weighting(X_test_counts, wmodel,
-                                           dense_offset=config.ctf_dense)
+        X_train = weighting.apply_weighting(X_train_counts, wmodel)
+        X_test = weighting.apply_weighting(X_test_counts, wmodel)
 
     factors: SvdFactors | None = None
-    reduce_ms: int | None = None
     effective_k: int | None = None
-    with _stage("reduce"):
+    with _stage("reduce", times):
         if config.reduce.enabled:
             max_k = min(X_train.shape) - 1
             effective_k = min(config.reduce.k, max_k)
             cfg = IrlbaConfig(k=effective_k, work_size=config.reduce.work_size,
                               tol=config.reduce.tol, seed=config.reduce.seed)
             try:
-                factors, reduce_ms = time_train(lambda: irlba(X_train, cfg))
+                factors = irlba(X_train, cfg)
             except ConfigError as exc:  # IrlbaConfig names its own fields
                 raise ConfigError(_key(f"reduce.{exc.field}"),
                                   exc.message) from exc
@@ -398,12 +394,11 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         else:
             F_train, F_test = X_train, X_test
 
-    with _stage("train"):
+    with _stage("train", times):
         y_train, y_test = train.labels(), test.labels()
-        model, train_ms = time_train(
-            lambda: _train_model(config, F_train, y_train))
+        model = _train_model(config, F_train, y_train)
 
-    with _stage("evaluate"):
+    with _stage("evaluate", times):
         if config.model.kind == "svm":
             y_pred = predict_svm(model, F_test)
         else:
@@ -424,8 +419,10 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     report = EvalReport(schema_version=SCHEMA_VERSION, confusion_matrix=cm,
-                        metric=frag, train_time_ms=train_ms,
-                        reduce_time_ms=reduce_ms, config_snapshot=snapshot,
+                        metric=frag, train_time_ms=times["train"],
+                        reduce_time_ms=(times["reduce"] if config.reduce.enabled
+                                        else None),
+                        config_snapshot=snapshot,
                         dataset_fingerprint=corpus.sha256, extras=extras)
 
     _write_json(out_dir / "report.json", report.to_dict())

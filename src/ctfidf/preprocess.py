@@ -1,10 +1,11 @@
 """Text preparation: tokenization, stopword removal, stemming.
 
 The stage order is fixed: tokenize (lowercased) -> stopword filter ->
-optional number filter -> length filter -> stem. Stopwords are matched
-against tokens as written, before stemming, so the shipped (unstemmed)
-word list applies directly. The filters and the stemmer see one token at
-a time, so :func:`preprocess_corpus` decides each distinct token once, in a
+stem. Stopwords are matched against tokens as written, before stemming, so
+the shipped (unstemmed) word list applies directly. Every other token is
+kept: digit runs (phone numbers, prices) are predictive for spam, and so
+are short tokens like "txt". The filter and the stemmer see one token at a
+time, so :func:`preprocess_corpus` decides each distinct token once, in a
 dict that the call owns: the cache is per call, so each call pays for its
 own stemming and no process-wide state exists for a long stream to grow.
 """
@@ -40,17 +41,14 @@ def load_stopwords() -> frozenset[str]:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Knobs for the preparation pipeline.
+    """The stopword list, named and pinned by the hash of its file.
 
-    ``remove_numbers`` defaults to False: digit runs (phone numbers,
-    prices) are predictive for spam. ``min_token_length`` defaults to 1 so
-    short informative tokens like "txt" survive.
+    It is the only setting: digit runs and short tokens are always kept,
+    so text prepared with the defaults matches what training saw.
     """
 
     stopword_list: str = STOPWORD_LIST_NAME
     stopword_hash: str = field(default_factory=stopword_list_hash)
-    remove_numbers: bool = False
-    min_token_length: int = 1
 
     def validate(self) -> None:
         if self.stopword_list != STOPWORD_LIST_NAME:
@@ -60,8 +58,6 @@ class PreprocessConfig:
             raise ValueError(
                 "stopword hash mismatch: config has "
                 f"{self.stopword_hash[:12]}..., shipped list is {shipped[:12]}...")
-        if self.min_token_length < 1:
-            raise ValueError("min_token_length must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,7 @@ def preprocess_corpus(texts: list[str],
     memo: dict[str, str | None] = {}  # token -> its stem, None if dropped
 
     def stem(token: str) -> str | None:
-        dropped = (token in stopwords
-                   or (config.remove_numbers and token.isdigit())
-                   or len(token) < config.min_token_length)
-        memo[token] = None if dropped else porter_stem(token)
+        memo[token] = None if token in stopwords else porter_stem(token)
         return memo[token]
 
     docs = []

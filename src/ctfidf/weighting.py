@@ -11,8 +11,8 @@ idf / N at every occupied cell:
 
     weight(t, d) = idf(t) / N + tf(t, d) * idf(t).
 
-The offset is applied only where the count is nonzero; applying it
-everywhere would densify the matrix (see ``dense_offset``).
+The offset goes on occupied cells only, where the count is nonzero;
+applying it everywhere would densify the matrix.
 """
 
 from __future__ import annotations
@@ -86,28 +86,19 @@ def fit_weighting(vocab: Vocabulary, scheme: Scheme) -> WeightingModel:
     return WeightingModel(scheme=scheme, idf=idf, n_docs=vocab.n_docs)
 
 
-def apply_weighting(counts: sp.csr_matrix, model: WeightingModel, *,
-                    dense_offset: bool = False):
+def apply_weighting(counts: sp.csr_matrix,
+                    model: WeightingModel) -> sp.csr_matrix:
     """Weight a count matrix with a fitted model.
 
     Returns CSR with the same shape; the sparsity pattern never grows.
-    With ``dense_offset=True`` (clement scheme only) the idf / N term is
-    added at every cell, which materializes a dense ndarray.
     """
     if counts.shape[1] != model.idf.shape[0]:
         raise DimensionMismatchError(
             f"matrix has {counts.shape[1]} columns, model has "
             f"{model.idf.shape[0]} idf entries")
-    tf = _tf_matrix(counts)
-    if model.scheme is Scheme.TFIDF_CLASSIC:
-        out = tf
-        out.data = out.data * model.idf[out.indices]
-        out.eliminate_zeros()
-        return out
-    offset = model.idf / model.n_docs
-    if dense_offset:
-        dense = tf.toarray() * model.idf + offset
-        return dense
-    out = tf
-    out.data = out.data * model.idf[out.indices] + offset[out.indices]
+    out = _tf_matrix(counts)
+    out.data *= model.idf[out.indices]
+    if model.scheme is Scheme.CTF_IDF:
+        out.data += (model.idf / model.n_docs)[out.indices]
+    out.eliminate_zeros()
     return out

@@ -1,14 +1,16 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ctfidf.cli import main
+from ctfidf.cli import _build_parser, main
 from ctfidf.synth import generate_corpus, write_tsv
 
-from conftest import BAD_VALUES, merged, write_config
+from conftest import BAD_VALUES, REPO_ROOT, merged, write_config
 
 
 class TestRun:
@@ -162,6 +164,22 @@ class TestRun:
                      "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["effectiveK"] == 17
+
+    def test_removed_ctf_dense_flag_exit_two(self, base_config, tmp_path):
+        path = write_config(tmp_path, base_config)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(path), "--ctf-dense"])
+        assert exc.value.code == 2
+
+    def test_readme_lists_the_run_flags(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"Each `run` flag \(([^)]*)\)", readme).group(1)
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {flag for action in sub.choices["run"]._actions
+                 for flag in action.option_strings if flag.startswith("--")}
+        assert set(re.findall(r"`(--[\w-]+)`", listed)) == \
+            flags - {"--help", "--config"}
 
 
 class TestStem:

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctfidf import pipeline
 from ctfidf.evaluation import (
     ConfusionMatrix,
     confusion,
     kfold_indices,
     metrics,
-    time_train,
 )
 from ctfidf.exceptions import (
     InvalidKError,
     LengthMismatchError,
     UnknownPositiveLabelError,
 )
+from ctfidf.pipeline import config_from_dict, run_experiment
+from ctfidf.svm import SvmModel
 
 
 class TestConfusion:
@@ -144,18 +146,12 @@ class TestKfold:
 
 
 class TestTimeTrain:
-    def test_noop_bound(self):
-        _, ms = time_train(lambda: None)
-        assert 0 <= ms < 50
+    def test_sleep_stub(self, base_config, monkeypatch):
+        def slow_train(config, X, y):
+            time.sleep(0.1)
+            return SvmModel(np.zeros(X.shape[1]), 0.0, 1.0, ("ham", "spam"))
 
-    def test_sleep_stub(self):
-        _, ms = time_train(lambda: time.sleep(0.1))
-        assert 100 <= ms <= 200
-
-    def test_error_carries_partial_timing(self):
-        def boom():
-            raise RuntimeError("nope")
-
-        with pytest.raises(RuntimeError) as err:
-            time_train(boom)
-        assert hasattr(err.value, "elapsed_ms")
+        monkeypatch.setattr(pipeline, "_train_model", slow_train)
+        base_config["reduce"] = {"enabled": False}
+        report = run_experiment(config_from_dict(base_config)).to_dict()
+        assert 100 <= report["trainTimeMs"] <= 200

@@ -4,7 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctfidf.dfm import Vocabulary, build_dfm
+from ctfidf.evaluation import confusion
 from ctfidf.exceptions import ConfigError, UnsupportedModelError
+from ctfidf.ingest import load_dataset, split
+from ctfidf.irlba import load_factors, project
 from ctfidf.pipeline import (
     _EXPERIMENT,
     _HYPERPARAMETERS,
@@ -15,7 +19,10 @@ from ctfidf.pipeline import (
     load_config,
     run_experiment,
 )
-from ctfidf.tree import train_dtree
+from ctfidf.preprocess import preprocess_corpus
+from ctfidf.svm import SvmModel, predict_svm
+from ctfidf.tree import DecisionTreeModel, predict_dtree, train_dtree
+from ctfidf.weighting import WeightingModel, apply_weighting
 
 from conftest import BAD_VALUES, merged, write_config
 
@@ -56,7 +63,6 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, base_config))
         snap = cfg.resolved()
         assert snap["minDocFreq"] == 1
-        assert snap["preprocess"]["removeNumbers"] is False
         assert snap["split"]["stratified"] is True
         assert len(snap["preprocess"]["stopwordHash"]) == 64
 
@@ -67,13 +73,16 @@ class TestConfig:
         assert "trainFraction" in str(err.value)
 
     def test_unknown_key_rejected(self, base_config, tmp_path):
-        base_config["weigthing"] = "tfidf"
-        with pytest.raises(ConfigError):
-            load_config(write_config(tmp_path, base_config))
+        for key in ("weigthing", "ctfDense"):  # a typo, a removed setting
+            with pytest.raises(ConfigError) as err:
+                load_config(write_config(tmp_path, {**base_config, key: 1}))
+            assert err.value.field == key
 
     def test_unknown_section_key_names_field(self, base_config):
         for section, key in (("dataset", "delimeter"),
-                             ("preprocess", "stopwords"), ("reduce", "K"),
+                             ("preprocess", "stopwords"),
+                             ("preprocess", "removeNumbers"),
+                             ("preprocess", "minTokenLength"), ("reduce", "K"),
                              ("model", "hyperparams"), ("split", "seeed")):
             cfg = json.loads(json.dumps(base_config))
             cfg.setdefault(section, {})[key] = 1
@@ -153,12 +162,6 @@ class TestConfig:
         cfg = config_from_dict(base_config)
         with pytest.raises(ConfigError):
             cfg.validate()
-
-    def test_ctf_dense_requires_ctfidf(self, base_config):
-        base_config["weighting"] = "tfidf"
-        base_config["ctfDense"] = True
-        with pytest.raises(ConfigError):
-            config_from_dict(base_config).validate()
 
     def test_relative_dataset_path_resolved(self, base_config, tmp_path):
         src = Path(base_config["dataset"]["path"])
@@ -276,6 +279,45 @@ class TestRunExperiment:
         expect = hashlib.sha256(
             Path(base_config["dataset"]["path"]).read_bytes()).hexdigest()
         assert r1.dataset_fingerprint == expect
+
+
+def predict_from_artifacts(out_dir: Path, texts: list[str]) -> list[str]:
+    """Labels for texts from vocab.json, model.json and factors.bin alone,
+    through the public API with every other setting at its default."""
+    model_doc = json.loads((out_dir / "model.json").read_text())
+    vocab_doc = json.loads((out_dir / "vocab.json").read_text())
+    terms = tuple(vocab_doc["terms"])
+    vocab = Vocabulary(term_to_index={t: j for j, t in enumerate(terms)},
+                       index_to_term=terms,
+                       doc_freq=np.asarray(vocab_doc["docFreq"]),
+                       n_docs=vocab_doc["nDocs"])
+    X = apply_weighting(build_dfm(preprocess_corpus(texts), vocab),
+                        WeightingModel.from_dict(vocab_doc["weighting"]))
+    factors = model_doc["references"]["factors"]
+    if factors:
+        X = project(X, load_factors(str(out_dir / factors)))
+    if model_doc["kind"] == "svm":
+        return predict_svm(SvmModel.from_dict(model_doc), X)
+    return predict_dtree(DecisionTreeModel.from_dict(model_doc), X)
+
+
+@pytest.mark.parametrize("patch", [
+    pytest.param({"model": {"kind": kind, "hyperparameters": hp},
+                  "weighting": scheme, "reduce": {"enabled": reduce, "k": 40}},
+                 id=f"{kind}-{scheme}-{'reduced' if reduce else 'terms'}")
+    for kind, hp in (("svm", {}), ("dtree", {"ccpAlpha": 1e-3}))
+    for scheme in ("tfidf", "ctfidf") for reduce in (False, True)
+] + [pytest.param({"minDocFreq": 2}, id="minDocFreq-2")])
+def test_artifacts_alone_reproduce_the_confusion(base_config, patch):
+    config = config_from_dict(merged(base_config, patch))
+    run_experiment(config)
+    out = Path(config.output_dir)
+    _, test = split(load_dataset(config.dataset.path,
+                                 config.dataset.load_format()), config.split)
+    report = json.loads((out / "report.json").read_text())
+    predicted = predict_from_artifacts(out, test.texts())
+    assert confusion(test.labels(), predicted,
+                     config.positive_label).to_dict() == report["confusion"]
 
 
 class TestExplain:

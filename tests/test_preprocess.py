@@ -85,19 +85,6 @@ class TestPreprocessDoc:
         [doc] = preprocess_corpus(["prize"], PreprocessConfig())
         assert list(doc.stems) == ["prize"]
 
-    def test_remove_numbers_flag(self):
-        [keep] = preprocess_corpus(["call 0800 now"], PreprocessConfig())
-        [drop] = preprocess_corpus(["call 0800 now"],
-                                   PreprocessConfig(remove_numbers=True))
-        assert "0800" in keep.stems
-        assert "0800" not in drop.stems
-
-    def test_min_token_length(self):
-        cfg = PreprocessConfig(min_token_length=4)
-        [doc] = preprocess_corpus(["win big prizes now"], cfg)
-        assert "win" not in doc.stems
-        assert "big" not in doc.stems
-
     def test_no_stem_is_a_stopword(self):
         """Stopword removal precedes stemming, observably."""
         sw = load_stopwords()
@@ -125,15 +112,14 @@ class TestPreprocessDoc:
         monkeypatch.setattr(preprocess, "porter_stem", counting_stem)
         texts = ["Win a prize, WIN big prizes", "the prize is yours 0800",
                  "win win 0800 prizes", ""]
-        config = PreprocessConfig(remove_numbers=True)
-        docs = preprocess_corpus(texts, config)
-        assert sorted(calls) == ["big", "prize", "prizes", "win"]
+        docs = preprocess_corpus(texts)
+        assert sorted(calls) == ["0800", "big", "prize", "prizes", "win"]
         assert [d.stems for d in docs] == [
-            ("win", "prize", "win", "big", "prize"), ("prize",),
-            ("win", "win", "prize"), ()]
+            ("win", "prize", "win", "big", "prize"), ("prize", "0800"),
+            ("win", "win", "0800", "prize"), ()]
         # the cache belongs to one call: the next call stems afresh
-        preprocess_corpus(texts[:1], config)
-        assert sorted(calls[4:]) == ["big", "prize", "prizes", "win"]
+        preprocess_corpus(texts[:1])
+        assert sorted(calls[5:]) == ["big", "prize", "prizes", "win"]
 
 
 # a small vocabulary so that tokens repeat within and across texts: words
@@ -146,22 +132,15 @@ TEXTS = st.lists(st.lists(st.sampled_from(WORDS), max_size=12).map(
     if len(words) % 3 == 0 else ", ".join(words)), max_size=8)
 
 
-@pytest.mark.parametrize("remove_numbers", [False, True])
-@pytest.mark.parametrize("min_length", [1, 3])
 @given(texts=TEXTS)
-def test_corpus_matches_per_token_reference(remove_numbers, min_length,
-                                            texts):
-    config = PreprocessConfig(remove_numbers=remove_numbers,
-                              min_token_length=min_length)
+def test_corpus_matches_per_token_reference(texts):
     stopwords = load_stopwords()
 
     def kept(token):
-        return (token not in stopwords
-                and not (remove_numbers and token.isdigit())
-                and len(token) >= min_length)
+        return token not in stopwords
 
     expected = [tuple(porter_stem(t) for t in tokenize(text) if kept(t))
                 for text in texts]
-    docs = preprocess_corpus(texts, config)
+    docs = preprocess_corpus(texts)
     assert [d.stems for d in docs] == expected
     assert [d.original_index for d in docs] == list(range(len(texts)))

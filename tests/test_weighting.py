@@ -148,20 +148,6 @@ class TestFitApply:
             base = set(zip(*counts.nonzero()))
             assert set(zip(*out.nonzero())) <= base
 
-    def test_dense_offset_variant(self):
-        lists = [["a", "b"], ["b"]]
-        docs = docs_from(lists)
-        vocab = build_vocabulary(docs)
-        counts = build_dfm(docs, vocab)
-        model = fit_weighting(vocab, Scheme.CTF_IDF)
-        dense = apply_weighting(counts, model, dense_offset=True)
-        assert isinstance(dense, np.ndarray)
-        offset = model.idf / model.n_docs
-        assert (dense > 0).all()
-        zero_cells = counts.toarray() == 0
-        assert np.allclose(dense[zero_cells],
-                           np.broadcast_to(offset, dense.shape)[zero_cells])
-
     def test_dimension_mismatch(self):
         model = WeightingModel(Scheme.CTF_IDF, np.ones(3), 2)
         counts = sp.csr_matrix(np.ones((2, 4)))
