@@ -73,10 +73,19 @@ class TestConfig:
         assert "trainFraction" in str(err.value)
 
     def test_unknown_key_rejected(self, base_config, tmp_path):
-        for key in ("weigthing", "ctfDense"):  # a typo, a removed setting
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path,
+                                     {**base_config, "weigthing": "tfidf"}))
+        assert err.value.field == "weigthing"
+
+    def test_ctf_dense_requires_ctfidf(self, base_config, tmp_path):
+        # the ctfDense setting is removed: it is an unknown key under
+        # either weighting
+        for weighting in ("tfidf", "ctfidf"):
+            cfg = {**base_config, "weighting": weighting, "ctfDense": True}
             with pytest.raises(ConfigError) as err:
-                load_config(write_config(tmp_path, {**base_config, key: 1}))
-            assert err.value.field == key
+                load_config(write_config(tmp_path, cfg))
+            assert err.value.field == "ctfDense"
 
     def test_unknown_section_key_names_field(self, base_config):
         for section, key in (("dataset", "delimeter"),

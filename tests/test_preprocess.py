@@ -127,13 +127,23 @@ class TestPreprocessDoc:
 WORDS = ("prizes", "prize", "winning", "won", "the", "is", "you", "a", "i",
          "0800", "42", "win2day", "cafés", "txt", "ok", "relational",
          "generalization", "hopping")
-TEXTS = st.lists(st.lists(st.sampled_from(WORDS), max_size=12).map(
-    lambda words: " ".join(words).upper()
-    if len(words) % 3 == 0 else ", ".join(words)), max_size=8)
 
 
-@given(texts=TEXTS)
-def test_corpus_matches_per_token_reference(texts):
+def texts_from(words):
+    return st.lists(st.lists(st.sampled_from(words), max_size=12).map(
+        lambda ws: " ".join(ws).upper()
+        if len(ws) % 3 == 0 else ", ".join(ws)), max_size=8)
+
+
+# the axes pick the words the texts are drawn from: with or without digit
+# runs, and with or without tokens shorter than 3; both are always kept
+@pytest.mark.parametrize("digits", [False, True])
+@pytest.mark.parametrize("min_length", [1, 3])
+@given(data=st.data())
+def test_corpus_matches_per_token_reference(digits, min_length, data):
+    words = [w for w in WORDS
+             if len(w) >= min_length and (digits or not w.isdigit())]
+    texts = data.draw(texts_from(words))
     stopwords = load_stopwords()
 
     def kept(token):
