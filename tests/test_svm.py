@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from ctfidf.exceptions import (
     DimensionMismatchError,
     NoConvergenceError,
+    NonFiniteValueError,
     SingleClassError,
 )
 from ctfidf.svm import SvmModel, decision_scores, predict_svm, train_svm
@@ -18,6 +19,14 @@ def clouds(n=40, gap=3.0, seed=0):
     B = rng.normal([gap, gap], 0.5, (n, 2))
     X = np.vstack([A, B])
     y = ["neg"] * n + ["pos"] * n
+    return X, y
+
+
+def sparse_problem(seed):
+    rng = np.random.default_rng(seed)
+    X = sp.random(300, 400, density=0.02, format="csr", random_state=rng)
+    truth = rng.standard_normal(400)
+    y = ["pos" if s >= 0 else "neg" for s in X @ truth]
     return X, y
 
 
@@ -63,12 +72,62 @@ class TestTraining:
         assert a.passes == b.passes
 
     def test_sparse_input(self):
+        for X, y in (clouds(seed=10), sparse_problem(21)):
+            Xs = sp.csr_matrix(X)
+            Xd = Xs.toarray()
+            a = train_svm(Xd, y, seed=11)
+            b = train_svm(Xs, y, seed=11)
+            assert b.passes == a.passes
+            assert b.active_path == a.active_path
+            assert np.abs(b.weights - a.weights).max() <= 1e-12
+            assert abs(b.bias - a.bias) <= 1e-12
+            assert predict_svm(b, Xs) == predict_svm(a, Xd)
+
+    def test_sparse_formats_give_the_csr_model(self):
+        X, y = sparse_problem(21)
+        X = sp.csr_matrix(X.astype(np.float32).astype(np.float64))
+        want = train_svm(X, y, seed=11)
+        as_int64 = sp.csr_matrix((X.data, X.indices.astype(np.int64),
+                                  X.indptr.astype(np.int64)), shape=X.shape)
+        for other in (X.tocsc(), X.tocoo(), X.astype(np.float32),
+                      as_int64):
+            got = train_svm(other, y, seed=11)
+            assert got.passes == want.passes
+            assert got.active_path == want.active_path
+            assert np.array_equal(got.weights, want.weights)
+            assert got.bias == want.bias
+
+    def test_duplicate_entries_train_the_dense_model(self):
+        rng = np.random.default_rng(0)
+        dense = rng.standard_normal((60, 8))
+        dense[rng.random((60, 8)) < 0.5] = 0.0
+        y = ["pos" if s >= 0 else "neg"
+             for s in dense @ rng.standard_normal(8)]
+        # each stored value as two equal entries of its cell
+        r, c = np.nonzero(dense)
+        indptr = np.concatenate([[0], np.cumsum(2 * np.bincount(r))])
+        X = sp.csr_matrix((np.repeat(dense[r, c] / 2.0, 2), np.repeat(c, 2),
+                           indptr), shape=dense.shape)
+        assert X.nnz == 2 * len(r) == 480
+        stored = X.copy()
+        a = train_svm(dense, y, seed=1)
+        b = train_svm(X, y, seed=1)
+        assert b.passes == a.passes
+        assert np.abs(b.weights - a.weights).max() <= 1e-12
+        assert abs(b.bias - a.bias) <= 1e-12
+        assert X.nnz == stored.nnz
+        assert (X.data == stored.data).all()
+        assert (X.indices == stored.indices).all()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
+    def test_non_finite_input_names_row_and_feature(self, value, form):
         X, y = clouds(seed=10)
-        Xs = sp.csr_matrix(X)
-        a = train_svm(X, y, seed=11)
-        b = train_svm(Xs, y, seed=11)
-        assert np.allclose(a.weights, b.weights, atol=1e-12)
-        assert predict_svm(b, Xs) == y
+        X[7, 1] = value
+        with pytest.raises(NonFiniteValueError) as err:
+            train_svm(form(X), y, seed=11)
+        assert (err.value.row, err.value.feature) == (7, 1)
+        assert "row 7, feature 1" in str(err.value)
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
@@ -92,10 +151,12 @@ class TestTraining:
         rng = np.random.default_rng(13)
         X = rng.standard_normal((60, 4))
         y = ["p" if v else "q" for v in rng.integers(0, 2, 60)]
-        with pytest.raises(NoConvergenceError) as err:
-            train_svm(X, y, tol=1e-12, max_iter=2, seed=14)
-        assert isinstance(err.value.best, SvmModel)
-        assert err.value.best.weights.shape == (4,)
+        for form in (np.asarray, sp.csr_matrix):
+            with pytest.raises(NoConvergenceError) as err:
+                train_svm(form(X), y, tol=1e-12, max_iter=2, seed=14)
+            assert isinstance(err.value.best, SvmModel)
+            assert err.value.best.weights.shape == (4,)
+            assert err.value.best.weights.dtype == np.float64
 
 
 class TestPredict:
@@ -205,14 +266,6 @@ def noisy_clouds(seed):
     y = ["neg"] * 100 + ["pos"] * 100
     for i in rng.choice(200, 20, replace=False):
         y[i] = "pos" if y[i] == "neg" else "neg"
-    return X, y
-
-
-def sparse_problem(seed):
-    rng = np.random.default_rng(seed)
-    X = sp.random(300, 400, density=0.02, format="csr", random_state=rng)
-    truth = rng.standard_normal(400)
-    y = ["pos" if s >= 0 else "neg" for s in X @ truth]
     return X, y
 
 
