@@ -7,6 +7,9 @@ sufficient to distinguish toolkit failures from programming errors.
 
 from __future__ import annotations
 
+import numpy as np
+import scipy.sparse as sp
+
 
 class CtfidfError(Exception):
     """Base class for all toolkit errors."""
@@ -52,6 +55,23 @@ class NonFiniteValueError(CtfidfError):
         self.feature = feature
         super().__init__(f"feature matrix holds {value} at row {row}, "
                          f"feature {feature}")
+
+
+def check_finite(X) -> None:
+    """Raise :class:`NonFiniteValueError` for the first NaN or infinite
+    value of X, a float64 array or a CSR or CSC matrix."""
+    if not sp.issparse(X):
+        if not np.isfinite(X).all():
+            r, j = np.argwhere(~np.isfinite(X))[0]
+            raise NonFiniteValueError(int(r), int(j), float(X[r, j]))
+        return
+    bad = ~np.isfinite(X.data)
+    if bad.any():
+        k = int(np.argmax(bad))
+        major = int(np.searchsorted(X.indptr, k, side="right")) - 1
+        minor = int(X.indices[k])
+        r, j = (major, minor) if X.format == "csr" else (minor, major)
+        raise NonFiniteValueError(r, j, float(X.data[k]))
 
 
 class BreakdownError(CtfidfError):

@@ -49,8 +49,8 @@ import scipy.sparse as sp
 from .exceptions import (
     DimensionMismatchError,
     NoConvergenceError,
-    NonFiniteValueError,
     SingleClassError,
+    check_finite,
 )
 
 
@@ -116,12 +116,7 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
             # one float64 entry per cell, as the dense input would give
             Xc = sp.csr_matrix(Xc, dtype=np.float64, copy=True)
             Xc.sum_duplicates()
-        bad = ~np.isfinite(Xc.data)
-        if bad.any():
-            k = int(np.argmax(bad))
-            r = int(np.searchsorted(Xc.indptr, k, side="right")) - 1
-            raise NonFiniteValueError(r, int(Xc.indices[k]),
-                                      float(Xc.data[k]))
+        check_finite(Xc)
         bounds = Xc.indptr.tolist()
         cols_all, vals_all = memoryview(Xc.indices), memoryview(Xc.data)
         rows = [(cols_all[lo:hi], vals_all[lo:hi])
@@ -130,9 +125,7 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
         w = [0.0] * Xc.shape[1]
     else:
         Xd = np.ascontiguousarray(X, dtype=np.float64)
-        if not np.isfinite(Xd).all():
-            r, j = np.argwhere(~np.isfinite(Xd))[0]
-            raise NonFiniteValueError(int(r), int(j), float(Xd[r, j]))
+        check_finite(Xd)
         rows = list(Xd)
         sq = np.einsum("ij,ij->i", Xd, Xd) + 1.0
         w = np.zeros(Xd.shape[1])
@@ -168,28 +161,21 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
                 f = float(xi @ w) + b
             G = yi * f - 1.0
             a = alpha[i]
-            # comparisons in place of min/max, which pick the same operand
             if a <= 0.0:
                 if G > upper:
                     continue
-                pg = 0.0 if G > 0.0 else G
+                pg = min(G, 0.0)
             elif a >= C:
                 if G < lower:
                     continue
-                pg = 0.0 if G < 0.0 else G
+                pg = max(G, 0.0)
             else:
                 pg = G
             kept.append(i)
-            if pg > max_pg:
-                max_pg = pg
-            if pg < min_pg:
-                min_pg = pg
+            max_pg = max(max_pg, pg)
+            min_pg = min(min_pg, pg)
             if pg != 0.0:
-                new = a - G / sq[i]
-                if new < 0.0:
-                    new = 0.0
-                elif new > C:
-                    new = C
+                new = min(max(a - G / sq[i], 0.0), C)
                 d = new - a
                 if d != 0.0:
                     alpha[i] = new

@@ -39,9 +39,9 @@ import scipy.sparse as sp
 from .evaluation import confusion, kfold_indices, metrics
 from .exceptions import (
     DimensionMismatchError,
-    NonFiniteValueError,
     SingleClassError,
     UnknownPositiveLabelError,
+    check_finite,
 )
 
 CCP_ALPHA_GRID = (0.0, 1e-4, 1e-3, 1e-2, 1e-1)
@@ -58,6 +58,8 @@ class TreeNode:
     left: int | None
     right: int | None
     predicted_label: str
+    # Gini decrease the split was grown for; 0 on leaves, and not saved
+    gain: float = 0.0
 
     @property
     def is_leaf(self) -> bool:
@@ -129,19 +131,12 @@ def _as_columns(X):
         Xc = sp.csc_matrix(X, dtype=np.float64, copy=True)
         Xc.sum_duplicates()
         Xc.eliminate_zeros()
-        bad = ~np.isfinite(Xc.data)
-        if bad.any():
-            i = int(np.argmax(bad))
-            j = int(np.searchsorted(Xc.indptr, i, side="right")) - 1
-            raise NonFiniteValueError(int(Xc.indices[i]), j,
-                                      float(Xc.data[i]))
+        check_finite(Xc)
         return Xc
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatchError("feature matrix must be 2-d")
-    if not np.isfinite(X).all():
-        r, j = np.argwhere(~np.isfinite(X))[0]
-        raise NonFiniteValueError(int(r), int(j), float(X[r, j]))
+    check_finite(X)
     return X
 
 
@@ -350,6 +345,7 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
         keep = goes_left[entries[3]]  # by the row of each entry
         node.feature = int(j)
         node.threshold = float(thr)
+        node.gain = gain
         node.left = len(nodes)
         nodes.append(_make_node(y_idx, left_rows, labels))
         node.right = len(nodes)
@@ -378,19 +374,26 @@ def _pruned(nodes: list[TreeNode], alpha: float) -> frozenset[int]:
     from the last node back, since children always follow their parent:
     a node becomes a leaf when its own cost is no more than the best cost
     of its two subtrees, so a tie prunes.
+
+    Costs are kept relative to each node's own R, and a split's children
+    weigh R(node) less the node's weight times the ``gain`` it was grown
+    for. Pruning thus reads a split's worth from the same float as growth:
+    a split grown on a positive gain, even a rounding-size one where the
+    exact gain is 0, is never pruned at alpha = 0.
     """
     n_total = int(nodes[0].class_counts.sum())
-    best = [0.0] * len(nodes)
+    # best cost of each node's subtree less the node's own R
+    extra = [alpha] * len(nodes)
     cut = set()
     for i in range(len(nodes) - 1, -1, -1):
         nd = nodes[i]
-        best[i] = int(nd.class_counts.sum()) / n_total * nd.impurity + alpha
         if not nd.is_leaf:
-            below = best[nd.left] + best[nd.right]
-            if best[i] <= below:
+            below = (extra[nd.left] + extra[nd.right]
+                     - int(nd.class_counts.sum()) / n_total * nd.gain)
+            if alpha <= below:
                 cut.add(i)
             else:
-                best[i] = below
+                extra[i] = below
     return frozenset(cut)
 
 
@@ -408,7 +411,7 @@ def _collapse(nodes: list[TreeNode], cut: frozenset[int]) -> list[TreeNode]:
             return slot
         out.append(TreeNode(n.feature, n.threshold, n.impurity,
                             n.class_counts.copy(), None, None,
-                            n.predicted_label))
+                            n.predicted_label, n.gain))
         out[slot].left = copy(n.left)
         out[slot].right = copy(n.right)
         return slot

@@ -72,7 +72,10 @@ class TestTraining:
         assert a.passes == b.passes
 
     def test_sparse_input(self):
-        for X, y in (clouds(seed=10), sparse_problem(21)):
+        X, y = clouds(seed=10)  # separable
+        assert predict_svm(train_svm(sp.csr_matrix(X), y, seed=11),
+                           sp.csr_matrix(X)) == y
+        for X, y in ((X, y), sparse_problem(21)):
             Xs = sp.csr_matrix(X)
             Xd = Xs.toarray()
             a = train_svm(Xd, y, seed=11)

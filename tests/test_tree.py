@@ -167,6 +167,15 @@ class TestTraining:
         model = train_dtree(X, y, TreeParams(ccp_alpha=0.5))
         assert len(model.nodes) == 1
 
+    def test_rounding_size_gain_kept_at_alpha_zero(self):
+        # the cut at -1.5 leaves each side a, a, b: exact gain 0, float
+        # gain 1.1e-16; growth and pruning must read it alike
+        X = np.array([[-2.0], [-2.0], [-2.0], [-1.0], [-1.0], [-1.0]])
+        y = list("aabaab")
+        model = train_dtree(X, y, TreeParams(ccp_alpha=0.0))
+        assert (model.nodes[0].feature, model.nodes[0].threshold) == (0, -1.5)
+        assert len(model.nodes) == 3
+
     def test_cv_scores_recorded_for_grid(self):
         X, y = noisy_data(seed=8)
         model = train_dtree(X, y, cv_folds=3, seed=4)
@@ -314,19 +323,6 @@ def exhaustive_root_split(D: np.ndarray, y: list[str], parent_gini: float):
     return best[1], best[2]
 
 
-def exact_gain(D: np.ndarray, y: list[str], j: int, threshold: float):
-    """Gini gain of the cut ``D[:, j] <= threshold``, as a Fraction."""
-    left = [lab for x, lab in zip(D[:, j], y) if x <= threshold]
-    right = [lab for x, lab in zip(D[:, j], y) if x > threshold]
-
-    def weighted_sq(side):  # sum of squared class counts over side size
-        return Fraction(sum(side.count(c) ** 2 for c in set(side)),
-                        len(side))
-
-    return (weighted_sq(left) + weighted_sq(right) - weighted_sq(y)) \
-        / len(y)
-
-
 @st.composite
 def small_matrices(draw):
     """Dense matrix, CSR copy with some zeros stored, and labels."""
@@ -355,12 +351,8 @@ def test_dense_and_csr_grow_the_exhaustive_tree(data):
     with mock.patch.object(tree, "_SCORE_CAP", 1):  # one feature per group
         assert train_dtree(X, y, TreeParams(ccp_alpha=0.0)).to_dict() == dense
     root = dense["nodes"][0]
-    best = exhaustive_root_split(D, y, root["impurity"])
-    # a cut whose gain is 0 in exact arithmetic can score a rounding-size
-    # gain; at alpha = 0 a tie prunes, so such a cut stays only through
-    # the splits grown below it, and the root is not decided by the gain
-    if best[0] is None or exact_gain(D, y, *best) > 0:
-        assert (root["featureIndex"], root["threshold"]) == best
+    assert (root["featureIndex"], root["threshold"]) == exhaustive_root_split(
+        D, y, root["impurity"])
 
 
 @st.composite
