@@ -73,21 +73,15 @@ class LabeledCorpus:
 class LoadFormat:
     """How to parse a delimited dataset file.
 
-    ``quoted`` controls RFC-4180 quote handling; when None it is enabled
-    for comma-delimited files and disabled otherwise (tab-separated SMS
-    dumps use raw text where a leading double quote is message content).
+    RFC-4180 quoting is on for comma-delimited files only: tab-separated
+    SMS dumps hold raw text, where a leading double quote is message
+    content.
     """
 
     delimiter: str = "\t"
     label_column: int = 0
     text_column: int = 1
     has_header: bool = False
-    quoted: bool | None = None
-
-    def uses_quoting(self) -> bool:
-        if self.quoted is None:
-            return self.delimiter == ","
-        return self.quoted
 
 
 @dataclass(frozen=True)
@@ -104,16 +98,13 @@ class SplitSpec:
                 f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
-def load_dataset(path: str, fmt: LoadFormat = LoadFormat(), *,
-                 keep_empty: bool = False,
-                 lenient: bool = False) -> LabeledCorpus:
+def load_dataset(path: str, fmt: LoadFormat = LoadFormat()) -> LabeledCorpus:
     """Parse a delimited dataset file into a :class:`LabeledCorpus`.
 
-    Rows with too few fields, an empty label, or (unless ``keep_empty``)
-    an empty trimmed text abort the load with :class:`MalformedRowError`.
-    With ``lenient=True`` such rows are skipped and logged instead; the
-    default aborts because silently dropping rows corrupts comparisons
-    against published record counts.
+    Rows with too few fields, an empty label or an empty trimmed text
+    abort the load with :class:`MalformedRowError` naming the line:
+    silently dropping rows would corrupt comparisons against published
+    record counts.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -123,57 +114,47 @@ def load_dataset(path: str, fmt: LoadFormat = LoadFormat(), *,
         raise EncodingError(f"{path} is not valid UTF-8: {exc}") from exc
 
     need = max(fmt.label_column, fmt.text_column) + 1
-    quoting = csv.QUOTE_MINIMAL if fmt.uses_quoting() else csv.QUOTE_NONE
+    quoting = csv.QUOTE_MINIMAL if fmt.delimiter == "," else csv.QUOTE_NONE
     reader = csv.reader(io.StringIO(content, newline=""),
                         delimiter=fmt.delimiter, quoting=quoting)
 
     records: list[RawRecord] = []
-    skipped = 0
     for line_number, row in enumerate(reader, start=1):
         if fmt.has_header and line_number == 1:
             continue
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line
         if len(row) < need:
-            if lenient:
-                skipped += 1
-                logger.warning("skipping line %d: %d field(s), need %d",
-                               line_number, len(row), need)
-                continue
             raise MalformedRowError(
                 line_number,
                 f"line {line_number}: {len(row)} field(s), need {need}")
         label = row[fmt.label_column].strip()
         text = row[fmt.text_column]
-        bad = None
-        if not label:
-            bad = "empty label"
-        elif not text.strip() and not keep_empty:
-            bad = "empty text"
-        if bad is not None:
-            if lenient:
-                skipped += 1
-                logger.warning("skipping line %d: %s", line_number, bad)
-                continue
+        if not label or not text.strip():
+            bad = "empty text" if label else "empty label"
             raise MalformedRowError(line_number, f"line {line_number}: {bad}")
         records.append(RawRecord(label, text))
 
     corpus = LabeledCorpus.from_records(records,
                                         hashlib.sha256(raw).hexdigest())
-    logger.info("loaded %d record(s) from %s (%d skipped), labels: %s",
-                len(corpus), path, skipped, sorted(corpus.label_set))
+    logger.info("loaded %d record(s) from %s, labels: %s",
+                len(corpus), path, sorted(corpus.label_set))
     return corpus
 
 
-def normalize_labels(corpus: LabeledCorpus, mapping: dict[str, str], *,
-                     strict: bool = True) -> LabeledCorpus:
-    """Rewrite labels through ``mapping``; unmapped labels pass through."""
-    if strict:
-        unknown = set(mapping) - set(corpus.label_set)
-        if unknown:
-            raise UnknownMappingKeyError(
-                f"mapping key(s) {sorted(unknown)} match no corpus label "
-                f"(labels present: {sorted(corpus.label_set)})")
+def normalize_labels(corpus: LabeledCorpus,
+                     mapping: dict[str, str]) -> LabeledCorpus:
+    """Rewrite labels through ``mapping``; unmapped labels pass through.
+
+    A mapping key that matches no corpus label raises
+    :class:`UnknownMappingKeyError`: it is a typo, or a mapping written
+    for another dataset.
+    """
+    unknown = set(mapping) - set(corpus.label_set)
+    if unknown:
+        raise UnknownMappingKeyError(
+            f"mapping key(s) {sorted(unknown)} match no corpus label "
+            f"(labels present: {sorted(corpus.label_set)})")
     records = tuple(RawRecord(mapping.get(r.label, r.label), r.text)
                     for r in corpus.records)
     return LabeledCorpus.from_records(records, corpus.sha256)

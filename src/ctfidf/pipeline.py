@@ -50,16 +50,12 @@ class DatasetConfig:
     text_column: int = 1
     has_header: bool = False
     label_mapping: dict = field(default_factory=dict)
-    quoted: bool | None = None
-    lenient: bool = False      # skip-and-log malformed rows instead of aborting
-    keep_empty: bool = False   # retain records whose text trims to empty
 
     def load_format(self) -> ingest.LoadFormat:
         return ingest.LoadFormat(delimiter=self.delimiter,
                                  label_column=self.label_column,
                                  text_column=self.text_column,
-                                 has_header=self.has_header,
-                                 quoted=self.quoted)
+                                 has_header=self.has_header)
 
 
 @dataclass(frozen=True)
@@ -90,12 +86,8 @@ _DATASET = {
     "textColumn": ("text_column", "integer", ">=", 0),
     "hasHeader": ("has_header", "boolean"),
     "labelMapping": ("label_mapping", "object"),
-    "quoted": ("quoted", "boolean|null"),
-    "lenient": ("lenient", "boolean"),
-    "keepEmpty": ("keep_empty", "boolean"),
 }
 _PREPROCESS = {
-    "stopwordList": ("stopword_list", "string"),
     "stopwordHash": ("stopword_hash", "string"),
 }
 _REDUCE = {
@@ -339,9 +331,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
     with _stage("ingest", times):
         corpus = ingest.load_dataset(config.dataset.path,
-                                     config.dataset.load_format(),
-                                     keep_empty=config.dataset.keep_empty,
-                                     lenient=config.dataset.lenient)
+                                     config.dataset.load_format())
         if config.dataset.label_mapping:
             corpus = ingest.normalize_labels(corpus,
                                              config.dataset.label_mapping)

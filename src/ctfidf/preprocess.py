@@ -22,7 +22,6 @@ from .porter import porter_stem
 _TOKEN_RE = re.compile(r"[^\W_]+")  # maximal runs of Unicode letters/digits
 
 _STOPWORD_RESOURCE = "stopwords_english.txt"
-STOPWORD_LIST_NAME = "snowball-english"
 
 
 def _stopword_bytes() -> bytes:
@@ -41,18 +40,17 @@ def load_stopwords() -> frozenset[str]:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """The stopword list, named and pinned by the hash of its file.
+    """The shipped stopword list, pinned by the hash of its file.
 
     It is the only setting: digit runs and short tokens are always kept,
-    so text prepared with the defaults matches what training saw.
+    so text prepared with the defaults matches what training saw. A config
+    saved with another list's hash fails rather than silently using this
+    one.
     """
 
-    stopword_list: str = STOPWORD_LIST_NAME
     stopword_hash: str = field(default_factory=stopword_list_hash)
 
     def validate(self) -> None:
-        if self.stopword_list != STOPWORD_LIST_NAME:
-            raise ValueError(f"unknown stopword list {self.stopword_list!r}")
         shipped = stopword_list_hash()
         if self.stopword_hash != shipped:
             raise ValueError(

@@ -216,10 +216,13 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
 
 
 def decision_scores(model: SvmModel, X) -> np.ndarray:
+    """w . x + b for every row; a NaN or infinite value raises, since its
+    score would be NaN and the row would silently go negative."""
     if X.shape[1] != model.weights.shape[0]:
         raise DimensionMismatchError(
             f"X has {X.shape[1]} columns, model has "
             f"{model.weights.shape[0]} weights")
+    check_finite(X.tocsr() if sp.issparse(X) else np.asarray(X))
     return np.asarray(X @ model.weights).ravel() + model.bias
 
 

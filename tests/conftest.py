@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctfidf.synth import generate_corpus, write_tsv
@@ -15,6 +16,36 @@ def synth_tsv(tmp_path_factory):
     """A deterministic 600-message synthetic corpus on disk."""
     path = tmp_path_factory.mktemp("synth") / "synth.tsv"
     write_tsv(str(path), generate_corpus(400, 200, seed=11))
+    return path
+
+
+# both classes draw their long words from one pool; the class signal is in
+# short tokens that are not stopwords, and in plurals that stem to them
+_SHARED_WORDS = ["call", "home", "today", "phone", "message", "week", "time",
+                 "free", "night", "later", "reply", "number", "back", "text",
+                 "need", "love"]
+_SHORT_TOKENS = {"spam": ["tv", "tvs", "ur", "urs", "4u", "50", "87", "99"],
+                 "ham": ["ok", "oks", "pm", "pms", "ya", "gd", "lol", "xx"]}
+
+
+@pytest.fixture(scope="session")
+def short_token_tsv(tmp_path_factory):
+    """A deterministic 400-message corpus whose classes overlap, with the
+    class signal carried by short tokens (tv, ur, 4u, 2-digit codes)."""
+    rng = np.random.default_rng(7)
+    rows = []
+    for _ in range(400):
+        label = "spam" if rng.random() < 0.4 else "ham"
+        other = "ham" if label == "spam" else "spam"
+        words = [_SHARED_WORDS[j] for j in
+                 rng.integers(len(_SHARED_WORDS), size=rng.integers(4, 10))]
+        for _ in range(rng.integers(2, 5)):
+            pool = _SHORT_TOKENS[label if rng.random() < 0.8 else other]
+            words.insert(int(rng.integers(len(words) + 1)),
+                         pool[int(rng.integers(len(pool)))])
+        rows.append((label, " ".join(words)))
+    path = tmp_path_factory.mktemp("short") / "short.tsv"
+    write_tsv(str(path), rows)
     return path
 
 

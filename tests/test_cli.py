@@ -171,6 +171,18 @@ class TestRun:
             main(["run", "--config", str(path), "--ctf-dense"])
         assert exc.value.code == 2
 
+    def test_removed_lenient_key_exit_two(self, base_config, tmp_path,
+                                          capsys, monkeypatch):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr("ctfidf.ingest.load_dataset", no_ingest)
+        base_config["dataset"]["lenient"] = True
+        path = write_config(tmp_path, base_config)
+        assert main(["run", "--config", str(path)]) == 2
+        assert ("dataset.lenient: unknown configuration key"
+                in capsys.readouterr().err)
+
     def test_readme_lists_the_run_flags(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         listed = re.search(r"Each `run` flag \(([^)]*)\)", readme).group(1)

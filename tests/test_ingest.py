@@ -63,17 +63,10 @@ class TestLoadDataset:
             load_dataset(path, LoadFormat())
         assert err.value.line_number == 2
 
-    def test_lenient_mode_skips(self, tmp_path):
-        path = write(tmp_path, "ham\thello\nbroken\nspam\tx\n")
-        corpus = load_dataset(path, LoadFormat(), lenient=True)
-        assert len(corpus) == 2
-
     def test_empty_text_rejected_by_default(self, tmp_path):
         path = write(tmp_path, "ham\t   \n")
-        with pytest.raises(MalformedRowError):
+        with pytest.raises(MalformedRowError, match="line 1: empty text"):
             load_dataset(path, LoadFormat())
-        corpus = load_dataset(path, LoadFormat(), keep_empty=True)
-        assert len(corpus) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -114,8 +107,6 @@ class TestNormalizeLabels:
     def test_unknown_key_strict(self):
         with pytest.raises(UnknownMappingKeyError):
             normalize_labels(self.corpus(), {"phish": "spam"})
-        out = normalize_labels(self.corpus(), {"phish": "spam"}, strict=False)
-        assert out.label_set == self.corpus().label_set
 
 
 def make_corpus(n_ham, n_spam):

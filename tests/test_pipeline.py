@@ -89,7 +89,10 @@ class TestConfig:
 
     def test_unknown_section_key_names_field(self, base_config):
         for section, key in (("dataset", "delimeter"),
+                             ("dataset", "quoted"), ("dataset", "lenient"),
+                             ("dataset", "keepEmpty"),
                              ("preprocess", "stopwords"),
+                             ("preprocess", "stopwordList"),
                              ("preprocess", "removeNumbers"),
                              ("preprocess", "minTokenLength"), ("reduce", "K"),
                              ("model", "hyperparams"), ("split", "seeed")):
@@ -112,12 +115,16 @@ class TestConfig:
             assert kind in str(err.value)
 
     def test_stopword_list_is_read(self, base_config):
+        # the list is the shipped one, pinned only by its hash
         base_config["preprocess"] = {"stopwordList": "snowball-english"}
-        config_from_dict(base_config).validate()
-        base_config["preprocess"] = {"stopwordList": "smart"}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(base_config)
+        assert err.value.field == "preprocess.stopwordList"
+        base_config["preprocess"] = {"stopwordHash": "0" * 64}
         with pytest.raises(ConfigError) as err:
             config_from_dict(base_config).validate()
-        assert "smart" in str(err.value)
+        assert err.value.field == "preprocess"
+        assert "stopword hash mismatch" in str(err.value)
 
     def test_every_key_rejects_other_json_types(self, base_config):
         checked = 0
@@ -316,8 +323,16 @@ def predict_from_artifacts(out_dir: Path, texts: list[str]) -> list[str]:
                  id=f"{kind}-{scheme}-{'reduced' if reduce else 'terms'}")
     for kind, hp in (("svm", {}), ("dtree", {"ccpAlpha": 1e-3}))
     for scheme in ("tfidf", "ctfidf") for reduce in (False, True)
-] + [pytest.param({"minDocFreq": 2}, id="minDocFreq-2")])
-def test_artifacts_alone_reproduce_the_confusion(base_config, patch):
+] + [pytest.param({"minDocFreq": 2}, id="minDocFreq-2"),
+      # a setting that treats short tokens differently at fit and reload
+      # shows only where they carry the class signal
+      pytest.param({"dataset": {"path": "short_token_tsv"}},
+                   id="short-tokens")])
+def test_artifacts_alone_reproduce_the_confusion(base_config, patch, request):
+    corpus = patch.get("dataset", {}).get("path")  # a corpus fixture's name
+    if corpus:
+        patch = {**patch, "dataset": {
+            "path": str(request.getfixturevalue(corpus))}}
     config = config_from_dict(merged(base_config, patch))
     run_experiment(config)
     out = Path(config.output_dir)

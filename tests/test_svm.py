@@ -180,6 +180,16 @@ class TestPredict:
         with pytest.raises(DimensionMismatchError):
             predict_svm(self.model(), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
+    def test_non_finite_input_names_row_and_feature(self, form):
+        # a NaN score would fail ">= 0" and label the row "neg"
+        X = form(np.array([[np.nan, 1.0], [np.inf, -np.inf]]))
+        for predict in (decision_scores, predict_svm):
+            with pytest.raises(NonFiniteValueError,
+                               match="nan at row 0, feature 0") as err:
+                predict(self.model(), X)
+            assert (err.value.row, err.value.feature) == (0, 0)
+
 
 def test_json_roundtrip():
     X, y = clouds(seed=15)

@@ -257,6 +257,17 @@ class TestPredict:
         with pytest.raises(NonFiniteValueError, match="row 2, feature 0"):
             predict_dtree(model, Xq)
 
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_non_finite_two_feature_rows_rejected(self, fmt):
+        X = np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 1.5], [2.5, 0.0]])
+        model = train_dtree(X, ["A", "B", "A", "B"],
+                            TreeParams(ccp_alpha=0.0))
+        Xq = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
+        Xq = sp.csr_matrix(Xq) if fmt == "csr" else Xq
+        with pytest.raises(NonFiniteValueError,
+                           match="nan at row 0, feature 0"):
+            predict_dtree(model, Xq)
+
     def test_feature_count_mismatch(self):
         X, y = separable_1d()
         model = train_dtree(X, y, cv_folds=2, seed=0)
