@@ -57,21 +57,42 @@ class NonFiniteValueError(CtfidfError):
                          f"feature {feature}")
 
 
-def check_finite(X) -> None:
-    """Raise :class:`NonFiniteValueError` for the first NaN or infinite
-    value of X, a float64 array or a CSR or CSC matrix."""
-    if not sp.issparse(X):
-        if not np.isfinite(X).all():
-            r, j = np.argwhere(~np.isfinite(X))[0]
-            raise NonFiniteValueError(int(r), int(j), float(X[r, j]))
-        return
-    bad = ~np.isfinite(X.data)
+def as_feature_matrix(X, sparse_format: str = "csr", *, dense: bool = True):
+    """X in the form the kernels read, checked; every public entry that
+    takes a feature matrix passes it through here first.
+
+    Dense input (an ndarray or nested lists) becomes a 2-d float64 array,
+    or with ``dense=False`` a CSR matrix of it. Sparse input becomes a
+    canonical float64 matrix in ``sparse_format`` ("csr" or "csc") with no
+    stored zeros. The caller's matrix is never written: it is copied only
+    when its format, dtype, duplicates or stored zeros must change, so a
+    matrix already in that form comes back as the same object. Raises
+    :class:`DimensionMismatchError` unless X is 2-d and
+    :class:`NonFiniteValueError` at the first NaN or infinite value.
+    """
+    out = X if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+    if out.ndim != 2:
+        raise DimensionMismatchError(
+            f"feature matrix must be 2-d, got {out.ndim}-d")
+    if not sp.issparse(out):
+        if not np.isfinite(out).all():
+            r, j = np.argwhere(~np.isfinite(out))[0]
+            raise NonFiniteValueError(int(r), int(j), float(out[r, j]))
+        return out if dense else sp.csr_matrix(out)
+    out = out.asformat(sparse_format).astype(np.float64, copy=False)
+    if not out.has_canonical_format or not out.data.all():
+        if out is X:
+            out = X.copy()
+        out.sum_duplicates()
+        out.eliminate_zeros()
+    bad = ~np.isfinite(out.data)
     if bad.any():
         k = int(np.argmax(bad))
-        major = int(np.searchsorted(X.indptr, k, side="right")) - 1
-        minor = int(X.indices[k])
-        r, j = (major, minor) if X.format == "csr" else (minor, major)
-        raise NonFiniteValueError(r, j, float(X.data[k]))
+        major = int(np.searchsorted(out.indptr, k, side="right")) - 1
+        minor = int(out.indices[k])
+        r, j = (major, minor) if out.format == "csr" else (minor, major)
+        raise NonFiniteValueError(r, j, float(out.data[k]))
+    return out
 
 
 class BreakdownError(CtfidfError):

@@ -64,6 +64,7 @@ from .exceptions import (
     ConfigError,
     DimensionMismatchError,
     NoConvergenceError,
+    as_feature_matrix,
 )
 
 _BREAKDOWN_REL = 1e-12  # of the running norm estimate
@@ -230,6 +231,7 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
     ``cfg.tol * s_1``. Raises :class:`NoConvergenceError` (with the
     best-effort factors in the payload) once ``max_restarts`` is spent.
     """
+    A = as_feature_matrix(A)
     m, n = A.shape
     k = cfg.k
     work = cfg.resolve_work(m, n)
@@ -292,6 +294,7 @@ def project(X, factors: SvdFactors) -> np.ndarray:
     For the training matrix this equals U @ diag(s) up to the residual
     tolerance.
     """
+    X = as_feature_matrix(X)
     if X.shape[1] != factors.V.shape[0]:
         raise DimensionMismatchError(
             f"matrix has {X.shape[1]} columns, factors expect "

@@ -63,7 +63,6 @@ class ReduceConfig:
     enabled: bool = True
     k: int = 300
     tol: float = 1e-5
-    work_size: int | None = None
     seed: int = 0
 
 
@@ -75,7 +74,7 @@ class ModelSpec:
 
 # The config schema, one table per section, in report.json order:
 #   JSON key -> (attribute, JSON type or the section's table[, bound])
-# A JSON type may admit null ("integer|null"). ExperimentConfig.validate()
+# A JSON type may admit null ("number|null"). ExperimentConfig.validate()
 # checks the bounds (operator, value) and the rules that span fields;
 # SplitSpec and PreprocessConfig check their own fields. Defaults live on
 # the dataclasses only.
@@ -94,7 +93,6 @@ _REDUCE = {
     "enabled": ("enabled", "boolean"),
     "k": ("k", "integer", ">=", 1),
     "tol": ("tol", "number", ">", 0),
-    "workSize": ("work_size", "integer|null"),
     "seed": ("seed", "integer", ">=", 0),
 }
 # model kind -> its hyperparameters: JSON key -> (argument of train_svm or
@@ -156,10 +154,6 @@ class ExperimentConfig:
         _check_bounds(self.resolved(), _EXPERIMENT)
         for label, to in self.dataset.label_mapping.items():
             _typed(to, "string", f"{_key('dataset.label_mapping')}.{label}")
-        work, k = self.reduce.work_size, self.reduce.k
-        if work is not None and work <= k:
-            raise ConfigError(_key("reduce.work_size"),
-                              f"must be > reduce.k ({k}), got {work}")
         _check_bounds(_hyperparameters(self.model),
                       _HYPERPARAMETERS[self.model.kind],
                       _key("model.hyperparameters"))
@@ -372,8 +366,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         if config.reduce.enabled:
             max_k = min(X_train.shape) - 1
             effective_k = min(config.reduce.k, max_k)
-            cfg = IrlbaConfig(k=effective_k, work_size=config.reduce.work_size,
-                              tol=config.reduce.tol, seed=config.reduce.seed)
+            cfg = IrlbaConfig(k=effective_k, tol=config.reduce.tol,
+                              seed=config.reduce.seed)
             try:
                 factors = irlba(X_train, cfg)
             except ConfigError as exc:  # IrlbaConfig names its own fields

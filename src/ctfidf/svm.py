@@ -50,7 +50,7 @@ from .exceptions import (
     DimensionMismatchError,
     NoConvergenceError,
     SingleClassError,
-    check_finite,
+    as_feature_matrix,
 )
 
 
@@ -89,9 +89,11 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
               max_iter: int = 100_000, seed: int = 0) -> SvmModel:
     """Fit the two-class linear SVM; deterministic for a fixed seed.
 
-    Raises :class:`NoConvergenceError` with the best-effort model in the
-    payload if ``max_iter`` passes end before a pass over all examples
-    reaches ``tol``.
+    X passes through :func:`~ctfidf.exceptions.as_feature_matrix`, so
+    sparse rows are read from canonical float64 CSR. Raises
+    :class:`NoConvergenceError` with the best-effort model in the payload
+    if ``max_iter`` passes end before a pass over all examples reaches
+    ``tol``.
     """
     labels = sorted(set(y))
     if len(labels) != 2:
@@ -100,6 +102,7 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
         raise ValueError(f"C must be positive, got {C}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    X = as_feature_matrix(X)
     n = X.shape[0]
     if n != len(y):
         raise DimensionMismatchError(
@@ -111,24 +114,17 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
 
     sparse = sp.issparse(X)
     if sparse:
-        Xc = X.tocsr()
-        if Xc.dtype != np.float64 or not Xc.has_canonical_format:
-            # one float64 entry per cell, as the dense input would give
-            Xc = sp.csr_matrix(Xc, dtype=np.float64, copy=True)
-            Xc.sum_duplicates()
-        check_finite(Xc)
-        bounds = Xc.indptr.tolist()
-        cols_all, vals_all = memoryview(Xc.indices), memoryview(Xc.data)
+        bounds = X.indptr.tolist()
+        cols_all, vals_all = memoryview(X.indices), memoryview(X.data)
         rows = [(cols_all[lo:hi], vals_all[lo:hi])
                 for lo, hi in zip(bounds[:-1], bounds[1:])]
-        sq = np.asarray(Xc.multiply(Xc).sum(axis=1)).ravel() + 1.0
-        w = [0.0] * Xc.shape[1]
+        sq = np.asarray(X.multiply(X).sum(axis=1)).ravel() + 1.0
+        w = [0.0] * X.shape[1]
     else:
-        Xd = np.ascontiguousarray(X, dtype=np.float64)
-        check_finite(Xd)
-        rows = list(Xd)
-        sq = np.einsum("ij,ij->i", Xd, Xd) + 1.0
-        w = np.zeros(Xd.shape[1])
+        X = np.ascontiguousarray(X)
+        rows = list(X)
+        sq = np.einsum("ij,ij->i", X, X) + 1.0
+        w = np.zeros(X.shape[1])
     sq = sq.tolist()
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -218,11 +214,11 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
 def decision_scores(model: SvmModel, X) -> np.ndarray:
     """w . x + b for every row; a NaN or infinite value raises, since its
     score would be NaN and the row would silently go negative."""
+    X = as_feature_matrix(X)
     if X.shape[1] != model.weights.shape[0]:
         raise DimensionMismatchError(
             f"X has {X.shape[1]} columns, model has "
             f"{model.weights.shape[0]} weights")
-    check_finite(X.tocsr() if sp.issparse(X) else np.asarray(X))
     return np.asarray(X @ model.weights).ravel() + model.bias
 
 

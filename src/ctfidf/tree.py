@@ -4,7 +4,9 @@ Splits minimize weighted Gini impurity over every (feature, threshold)
 pair, thresholds being midpoints between consecutive distinct sorted
 values. A value equal to the threshold goes left. Ties between
 equally-good splits resolve to the lowest feature index, then the lowest
-threshold, so training is deterministic. Feature values must be finite.
+threshold, so training is deterministic. Feature values must be finite:
+both entries pass X through :func:`~ctfidf.exceptions.as_feature_matrix`,
+which also gives sparse input as canonical CSC without stored zeros.
 
 Dense arrays and sparse matrices share one split kernel. Each fit sorts
 the stored values once, by (feature, value): a dense array stores every
@@ -41,7 +43,7 @@ from .exceptions import (
     DimensionMismatchError,
     SingleClassError,
     UnknownPositiveLabelError,
-    check_finite,
+    as_feature_matrix,
 )
 
 CCP_ALPHA_GRID = (0.0, 1e-4, 1e-3, 1e-2, 1e-1)
@@ -121,27 +123,8 @@ class DecisionTreeModel:
 _SCORE_CAP = 1 << 16
 
 
-def _as_columns(X):
-    """X as a float64 2-d array, or a canonical CSC copy without stored zeros.
-
-    The copy leaves the caller's matrix as it was. A NaN or infinite value
-    is rejected: a split needs each feature's values in order.
-    """
-    if sp.issparse(X):
-        Xc = sp.csc_matrix(X, dtype=np.float64, copy=True)
-        Xc.sum_duplicates()
-        Xc.eliminate_zeros()
-        check_finite(Xc)
-        return Xc
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatchError("feature matrix must be 2-d")
-    check_finite(X)
-    return X
-
-
 def _column(X, j: int, rows: np.ndarray) -> np.ndarray:
-    """Values of feature ``j`` at ``rows`` of an :func:`_as_columns` matrix."""
+    """Values of feature ``j`` at ``rows`` of a float64 array or CSC matrix."""
     if sp.issparse(X):
         col = np.zeros(X.shape[0])
         lo, hi = X.indptr[j], X.indptr[j + 1]
@@ -151,7 +134,7 @@ def _column(X, j: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _sorted_entries(X):
-    """(feature, end, value, row) entries of an :func:`_as_columns` matrix.
+    """(feature, end, value, row) entries of a float64 array or CSC matrix.
 
     ``value`` and ``row`` hold every stored value sorted by (feature,
     value); ``feature`` lists, in order, the features that store any, and
@@ -422,7 +405,7 @@ def _collapse(nodes: list[TreeNode], cut: frozenset[int]) -> list[TreeNode]:
 
 def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray,
                    cut: frozenset[int] = frozenset()) -> list[str]:
-    """Labels of ``rows`` of an :func:`_as_columns` matrix, in order.
+    """Labels of ``rows`` of a float64 array or CSC matrix, in order.
 
     The nodes in ``cut`` act as leaves, as in :func:`_collapse`.
     """
@@ -456,7 +439,7 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassError(f"need >= 2 classes, got {labels}")
-    X = _as_columns(X)
+    X = as_feature_matrix(X, "csc")
     if X.shape[0] != len(y):
         raise DimensionMismatchError(
             f"X has {X.shape[0]} rows, y has {len(y)} labels")
@@ -504,7 +487,7 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
 
 def predict_dtree(model: DecisionTreeModel, X) -> list[str]:
     """Root-to-leaf traversal; a value equal to the threshold goes left."""
-    X = _as_columns(X)
+    X = as_feature_matrix(X, "csc")
     feat_needed = max((n.feature for n in model.nodes
                        if n.feature is not None), default=-1)
     if feat_needed >= X.shape[1]:

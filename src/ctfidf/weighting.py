@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dfm import Vocabulary
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, as_feature_matrix
 
 
 class Scheme(enum.Enum):
@@ -51,21 +51,18 @@ class WeightingModel:
 
 
 def _tf_matrix(counts: sp.csr_matrix) -> sp.csr_matrix:
-    """Row-wise max normalization of a CSR count matrix."""
-    X = counts.tocsr().astype(np.float64, copy=True)
-    X.sum_duplicates()
-    X.eliminate_zeros()  # a stored zero count is no occupied cell
-    if X.nnz == 0:
-        return X
-    row_max = np.zeros(X.shape[0])
-    nz_per_row = np.diff(X.indptr)
+    """Row-wise max normalization of a canonical float64 CSR count matrix,
+    as a new matrix."""
+    nz_per_row = np.diff(counts.indptr)
     occupied = nz_per_row > 0
+    row_max = np.zeros(counts.shape[0])
     row_max[occupied] = np.maximum.reduceat(
-        X.data, X.indptr[:-1][occupied])
+        counts.data, counts.indptr[:-1][occupied])
     inv = np.zeros_like(row_max)
     np.divide(1.0, row_max, out=inv, where=row_max > 0)
-    X.data = X.data * np.repeat(inv, nz_per_row)
-    return X
+    return sp.csr_matrix((counts.data * np.repeat(inv, nz_per_row),
+                          counts.indices.copy(), counts.indptr.copy()),
+                         shape=counts.shape)
 
 
 def idf_classic(vocab: Vocabulary) -> np.ndarray:
@@ -88,10 +85,12 @@ def fit_weighting(vocab: Vocabulary, scheme: Scheme) -> WeightingModel:
 
 def apply_weighting(counts: sp.csr_matrix,
                     model: WeightingModel) -> sp.csr_matrix:
-    """Weight a count matrix with a fitted model.
+    """Weight a count matrix with a fitted model; a dense one is read as
+    CSR.
 
     Returns CSR with the same shape; the sparsity pattern never grows.
     """
+    counts = as_feature_matrix(counts, dense=False)
     if counts.shape[1] != model.idf.shape[0]:
         raise DimensionMismatchError(
             f"matrix has {counts.shape[1]} columns, model has "

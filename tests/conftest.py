@@ -80,7 +80,7 @@ BAD_VALUES = [
     ({"cvFolds": 1}, "cvFolds"),
     ({"minDocFreq": 0}, "minDocFreq"),
     ({"reduce": {"k": "x"}}, "reduce.k"),
-    ({"reduce": {"workSize": "big"}}, "reduce.workSize"),
+    ({"reduce": {"tol": 0}}, "reduce.tol"),
     ({"reduce": {"seed": -1}}, "reduce.seed"),
     ({"preprocess": {"stopwordHash": "0" * 64}}, "preprocess"),
     ({"model": {"hyperparameters": {"C": "abc"}}}, "model.hyperparameters.C"),
@@ -99,7 +99,6 @@ BAD_VALUES = [
      "model.hyperparameters.ccpAlpha"),
     ({"dataset": {"labelColumn": -1}}, "dataset.labelColumn"),
     ({"dataset": {"textColumn": -2}}, "dataset.textColumn"),
-    ({"reduce": {"k": 10, "workSize": 10}}, "reduce.workSize"),
 ]
 
 

@@ -88,13 +88,6 @@ class TestRun:
         err = capsys.readouterr().err
         assert "positiveLabel: 'Spam' not among labels ['ham', 'spam']" in err
 
-    def test_work_size_beyond_matrix_names_key(self, base_config, tmp_path,
-                                               capsys):
-        base_config["reduce"] = {"k": 40, "workSize": 100000}
-        path = write_config(tmp_path, base_config)
-        assert main(["run", "--config", str(path)]) == 2
-        assert "reduce.workSize: need k < work_size" in capsys.readouterr().err
-
     @pytest.mark.parametrize("patch, field, message", [
         pytest.param({"split": {"trainFraction": 0.9}}, "split.trainFraction",
                      "gives 4 training and 0 test record(s)", id="no-test"),
@@ -177,11 +170,13 @@ class TestRun:
             raise AssertionError("the dataset was read")
 
         monkeypatch.setattr("ctfidf.ingest.load_dataset", no_ingest)
-        base_config["dataset"]["lenient"] = True
-        path = write_config(tmp_path, base_config)
-        assert main(["run", "--config", str(path)]) == 2
-        assert ("dataset.lenient: unknown configuration key"
-                in capsys.readouterr().err)
+        for section, key, value in (("dataset", "lenient", True),
+                                    ("reduce", "workSize", 450)):
+            cfg = merged(base_config, {section: {key: value}})
+            path = write_config(tmp_path, cfg)
+            assert main(["run", "--config", str(path)]) == 2
+            assert (f"{section}.{key}: unknown configuration key"
+                    in capsys.readouterr().err)
 
     def test_readme_lists_the_run_flags(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
@@ -255,3 +250,11 @@ class TestSvdCheck:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "dense oracle" in out
+
+    def test_nan_entry_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "3 3 3\n1 1 1.0\n2 3 nan\n3 2 2.0\n")
+        assert main(["svd-check", str(path), "--k", "1"]) == 1
+        assert capsys.readouterr().err == \
+            "error: feature matrix holds nan at row 1, feature 2\n"

@@ -15,6 +15,7 @@ from ctfidf.exceptions import (
     NonFiniteValueError,
     SingleClassError,
     UnknownPositiveLabelError,
+    as_feature_matrix,
 )
 from ctfidf.tree import (
     CCP_ALPHA_GRID,
@@ -410,7 +411,7 @@ def test_every_split_is_the_exhaustive_best(data, cap):
 def grown_tree(D: np.ndarray, y: list[str]) -> list[tree.TreeNode]:
     labels = sorted(set(y))
     y_idx = np.array([labels.index(lab) for lab in y])
-    X = tree._as_columns(D)
+    X = as_feature_matrix(D, "csc")
     return tree._grow(X, tree._sorted_entries(X), np.arange(len(y)), y_idx,
                       labels, TreeParams())
 
@@ -469,7 +470,7 @@ def test_pruned_is_the_exact_smallest_minimizing_subtree(data, alpha):
     assert abs(sum(own[i] for i in leaves) - optimum) <= Fraction(1, 10**12)
     if margin is None or margin > Fraction(1, 10**12):
         assert leaves == subtree_leaves(nodes, oracle_cut)
-    X, rows = tree._as_columns(D), np.arange(len(y))
+    X, rows = as_feature_matrix(D, "csc"), np.arange(len(y))
     assert (tree._predict_nodes(nodes, X, rows, cut)
             == tree._predict_nodes(tree._collapse(nodes, cut), X, rows))
 
