@@ -93,9 +93,10 @@ class SplitSpec:
     stratified: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if (not isinstance(self.train_fraction, (int, float))
+                or not 0.0 < self.train_fraction < 1.0):
+            raise ValueError("train_fraction must be a number in (0, 1), "
+                             f"got {self.train_fraction!r}")
 
 
 def load_dataset(path: str, fmt: LoadFormat = LoadFormat()) -> LabeledCorpus:

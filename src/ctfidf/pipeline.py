@@ -42,20 +42,10 @@ from .tree import (
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
+@dataclass(frozen=True, kw_only=True)
+class DatasetConfig(ingest.LoadFormat):
     path: str
-    delimiter: str = "\t"
-    label_column: int = 0
-    text_column: int = 1
-    has_header: bool = False
     label_mapping: dict = field(default_factory=dict)
-
-    def load_format(self) -> ingest.LoadFormat:
-        return ingest.LoadFormat(delimiter=self.delimiter,
-                                 label_column=self.label_column,
-                                 text_column=self.text_column,
-                                 has_header=self.has_header)
 
 
 @dataclass(frozen=True)
@@ -74,10 +64,9 @@ class ModelSpec:
 
 # The config schema, one table per section, in report.json order:
 #   JSON key -> (attribute, JSON type or the section's table[, bound])
-# A JSON type may admit null ("number|null"). ExperimentConfig.validate()
-# checks the bounds (operator, value) and the rules that span fields;
+# A JSON type may admit null ("number|null"); a bound is (operator, value).
 # SplitSpec and PreprocessConfig check their own fields. Defaults live on
-# the dataclasses only.
+# the dataclasses only (the dataset's format on ingest.LoadFormat).
 _DATASET = {
     "path": ("path", "string", "other than", ""),
     "delimiter": ("delimiter", "string"),
@@ -150,36 +139,23 @@ class ExperimentConfig:
     output_dir: str = "runs/experiment"
 
     def validate(self) -> None:
-        """Range and consistency checks; each error names the JSON key."""
-        _check_bounds(self.resolved(), _EXPERIMENT)
-        for label, to in self.dataset.label_mapping.items():
-            _typed(to, "string", f"{_key('dataset.label_mapping')}.{label}")
-        _check_bounds(_hyperparameters(self.model),
-                      _HYPERPARAMETERS[self.model.kind],
-                      _key("model.hyperparameters"))
-        try:
-            self.preprocess.validate()
-        except ValueError as exc:
-            raise ConfigError(_key("preprocess"), str(exc)) from exc
+        """Check :meth:`resolved` as :func:`config_from_dict` checks JSON;
+        each error names the JSON key."""
+        config_from_dict(self.resolved())
 
     def resolved(self) -> dict:
         """Full snapshot with every default materialized, stable order."""
         return _snapshot(self, _EXPERIMENT)
 
 
-def _key(path: str) -> str:
-    """The dotted JSON key of a dotted attribute path."""
-    table, keys = _EXPERIMENT, []
-    for attr in path.split("."):
-        keys.append(next(k for k, (a, *_) in table.items() if a == attr))
-        table = table[keys[-1]][1]
-    return ".".join(keys)
-
-
-def _typed(value, kind: str, name: str):
-    """value if its JSON type is one of kind's; numbers come back as floats."""
+def _typed(value, name: str, kind: str, *bound):
+    """value if its JSON type is one of kind's and it meets the bound
+    (operator, limit); numbers come back as floats."""
     if not any(type(value) in _JSON_TYPES[t] for t in kind.split("|")):
         raise ConfigError(name, f"must be {kind.replace('|', ' or ')}, "
+                                f"got {value!r}")
+    if bound and value is not None and not _BOUNDS[bound[0]](value, bound[1]):
+        raise ConfigError(name, f"must be {bound[0]} {bound[1]!r}, "
                                 f"got {value!r}")
     if isinstance(value, dict):
         return dict(value)
@@ -203,10 +179,11 @@ def _known(d, known, where: str = "",
 def _patched(obj, table: dict, d, where: str = ""):
     """obj with the fields that JSON object d sets, each type-checked."""
     for key, value in _known(d, table, where).items():
-        attr, kind, *_ = table[key]
+        attr, kind, *bound = table[key]
         name = f"{where}.{key}" if where else key
         value = (_patched(getattr(obj, attr), kind, value, name)
-                 if isinstance(kind, dict) else _typed(value, kind, name))
+                 if isinstance(kind, dict)
+                 else _typed(value, name, kind, *bound))
         try:
             obj = dataclasses.replace(obj, **{attr: value})
         except ValueError as exc:  # a dataclass checking its own field
@@ -226,34 +203,34 @@ def _snapshot(obj, table: dict) -> dict:
     return out
 
 
-def _check_bounds(values: dict, table: dict, where: str = "") -> None:
-    """Raise ConfigError naming the first value outside its field's bound."""
-    for key, (_, kind, *bound) in table.items():
-        name, value = f"{where}.{key}" if where else key, values.get(key)
-        if isinstance(kind, dict):
-            _check_bounds(value, kind, name)
-        elif bound and value is not None and not _BOUNDS[bound[0]](value,
-                                                                   bound[1]):
-            raise ConfigError(name, f"must be {bound[0]} {bound[1]!r}, "
-                                    f"got {value!r}")
-
-
 def _hyperparameters(model: ModelSpec) -> dict:
-    """The model's hyperparameters by JSON key, names and types checked."""
-    where = _key("model.hyperparameters")
-    table = _HYPERPARAMETERS[model.kind]
+    """The model's hyperparameters by argument name, each one checked."""
+    where, table = "model.hyperparameters", _HYPERPARAMETERS[model.kind]
     _known(model.hyperparameters, table, where,
            f"not a {model.kind} hyperparameter")
-    return {key: _typed(value, table[key][1], f"{where}.{key}")
+    return {table[key][0]: _typed(value, f"{where}.{key}", *table[key][1:])
             for key, value in model.hyperparameters.items()}
 
 
 def config_from_dict(d: dict, base_dir: str | Path = ".") -> ExperimentConfig:
-    """Build a config from parsed JSON; unknown keys and values of the wrong
-    JSON type fail here, ranges and hyperparameters (whose names depend on
-    the model kind) in :meth:`ExperimentConfig.validate`."""
+    """Build a config from parsed JSON, checking every value it sets.
+
+    An unknown key, a value of the wrong JSON type or out of range, a
+    ``dataset.labelMapping`` value that is not a string, a hyperparameter
+    the model kind lacks and a stopword hash other than the shipped list's
+    each raise :class:`ConfigError` naming the key.
+    :meth:`ExperimentConfig.validate` runs a config's own snapshot through
+    here, so a config built in Python gets the same checks.
+    """
     # an unset dataset.path stays "", which validate() rejects
     config = _patched(ExperimentConfig(DatasetConfig(path="")), _EXPERIMENT, d)
+    for label, to in config.dataset.label_mapping.items():
+        _typed(to, f"dataset.labelMapping.{label}", "string")
+    _hyperparameters(config.model)
+    try:
+        config.preprocess.validate()
+    except ValueError as exc:
+        raise ConfigError("preprocess", str(exc)) from exc
     path = config.dataset.path
     if path and not Path(path).is_absolute():
         config = dataclasses.replace(config, dataset=dataclasses.replace(
@@ -263,7 +240,7 @@ def config_from_dict(d: dict, base_dir: str | Path = ".") -> ExperimentConfig:
 
 def load_config(path: str | Path,
                 overrides: dict | None = None) -> ExperimentConfig:
-    """Read a JSON config file, then :func:`config_from_dict`.
+    """Read a JSON config file and check it with :func:`config_from_dict`.
 
     ``overrides`` maps dotted JSON keys to values that replace the file's
     before it is parsed. Text given for a field that is not a string is read
@@ -291,9 +268,7 @@ def load_config(path: str | Path,
 
 
 def _train_model(config: ExperimentConfig, X, y: list[str]):
-    table = _HYPERPARAMETERS[config.model.kind]
-    hp = {table[key][0]: value
-          for key, value in _hyperparameters(config.model).items()}
+    hp = _hyperparameters(config.model)
     seed = hp.pop("seed", config.split.seed)
     if config.model.kind == "svm":
         return train_svm(X, y, seed=seed, **hp)
@@ -324,23 +299,22 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     times: dict[str, int] = {}  # stage -> wall-clock ms
 
     with _stage("ingest", times):
-        corpus = ingest.load_dataset(config.dataset.path,
-                                     config.dataset.load_format())
+        corpus = ingest.load_dataset(config.dataset.path, config.dataset)
         if config.dataset.label_mapping:
             corpus = ingest.normalize_labels(corpus,
                                              config.dataset.label_mapping)
         if config.positive_label not in corpus.label_set:
-            raise ConfigError(_key("positive_label"),
+            raise ConfigError("positiveLabel",
                               f"{config.positive_label!r} not among labels "
                               f"{sorted(corpus.label_set)}")
         train, test = ingest.split(corpus, config.split)
         if not len(train) or not len(test):
-            raise ConfigError(_key("split.train_fraction"),
+            raise ConfigError("split.trainFraction",
                               f"gives {len(train)} training and {len(test)} "
                               f"test record(s); both need at least one")
         if (config.model.kind == "dtree" and config.cv_folds > len(train)
-                and _hyperparameters(config.model).get("ccpAlpha") is None):
-            raise ConfigError(_key("cv_folds"),
+                and config.model.hyperparameters.get("ccpAlpha") is None):
+            raise ConfigError("cvFolds",
                               f"{config.cv_folds} folds exceed the "
                               f"{len(train)} training record(s)")
 
@@ -371,7 +345,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             try:
                 factors = irlba(X_train, cfg)
             except ConfigError as exc:  # IrlbaConfig names its own fields
-                raise ConfigError(_key(f"reduce.{exc.field}"),
+                raise ConfigError(f"reduce.{exc.field}",
                                   exc.message) from exc
             F_train = project(X_train, factors)
             F_test = project(X_test, factors)

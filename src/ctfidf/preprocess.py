@@ -60,10 +60,9 @@ class PreprocessConfig:
 
 @dataclass(frozen=True)
 class ProcessedDoc:
-    """Stem sequence for one document, keyed back to its corpus position."""
+    """Stem sequence for one document."""
 
     stems: tuple[str, ...]
-    original_index: int
 
 
 def tokenize(text: str) -> list[str]:
@@ -93,7 +92,7 @@ def preprocess_corpus(texts: list[str],
         return memo[token]
 
     docs = []
-    for i, text in enumerate(texts):
+    for text in texts:
         stems = [memo[t] if t in memo else stem(t) for t in tokenize(text)]
-        docs.append(ProcessedDoc(tuple(s for s in stems if s is not None), i))
+        docs.append(ProcessedDoc(tuple(s for s in stems if s is not None)))
     return docs

@@ -26,9 +26,8 @@ The complexity parameter is selected from a fixed grid by stratified
 k-fold cross-validation maximizing mean F1. Each fold grows a single
 tree. For each grid value one bottom-up pass over its nodes finds the
 smallest subtree minimizing cost plus alpha times the leaf count
-(Breiman et al., 1984, ch. 10), and the fold predicts on the grown tree,
-treating that subtree's leaves as leaves; only the final model is copied
-into a pruned node list.
+(Breiman et al., 1984, ch. 10), and the fold predicts on that subtree,
+copied into a pruned node list just as the final model is.
 """
 
 from __future__ import annotations
@@ -403,12 +402,8 @@ def _collapse(nodes: list[TreeNode], cut: frozenset[int]) -> list[TreeNode]:
     return out
 
 
-def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray,
-                   cut: frozenset[int] = frozenset()) -> list[str]:
-    """Labels of ``rows`` of a float64 array or CSC matrix, in order.
-
-    The nodes in ``cut`` act as leaves, as in :func:`_collapse`.
-    """
+def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray) -> list[str]:
+    """Labels of ``rows`` of a float64 array or CSC matrix, in order."""
     out = np.empty(rows.shape[0], dtype=object)
     stack = [(0, np.arange(rows.shape[0]))]
     while stack:
@@ -416,7 +411,7 @@ def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray,
         if pos.shape[0] == 0:
             continue
         node = nodes[slot]
-        if node.is_leaf or slot in cut:
+        if node.is_leaf:
             out[pos] = node.predicted_label
             continue
         mask = _column(X, node.feature, rows[pos]) <= node.threshold
@@ -468,7 +463,8 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
                           y_idx, labels, params)
             y_te = [y[i] for i in te]
             for a in CCP_ALPHA_GRID:
-                pred = _predict_nodes(grown, X, te, _pruned(grown, a))
+                pruned = _collapse(grown, _pruned(grown, a))
+                pred = _predict_nodes(pruned, X, te)
                 # with no true or predicted positive F1 is 0, as metrics()
                 # defines it, but confusion() would reject the label
                 fold_f1[a].append(metrics(confusion(y_te, pred, positive)).f1

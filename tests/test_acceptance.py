@@ -279,9 +279,9 @@ class TestCriterion6IrlbaOracleSuite:
 
 class TestCriterion7WeightingSuite:
     def test_weighting_properties(self):
-        docs = [ProcessedDoc(tuple(s), i) for i, s in enumerate(
-            [["a", "b", "a"], ["b", "c"], ["a", "c", "c", "d"], ["d"],
-             ["b", "b", "e"], ["e", "a"]])]
+        docs = [ProcessedDoc(tuple(s)) for s in
+                [["a", "b", "a"], ["b", "c"], ["a", "c", "c", "d"], ["d"],
+                 ["b", "b", "e"], ["e", "a"]]]
         vocab = build_vocabulary(docs)
         counts = build_dfm(docs, vocab)
         ctf_model = fit_weighting(vocab, Scheme.CTF_IDF)
@@ -299,7 +299,7 @@ class TestCriterion7WeightingSuite:
         offset_identity = bool(
             np.allclose((ctf - eq3)[mask], offs[mask], atol=1e-12))
 
-        two_docs = [ProcessedDoc(("t",), 0), ProcessedDoc(("t",), 1)]
+        two_docs = [ProcessedDoc(("t",)), ProcessedDoc(("t",))]
         v2 = build_vocabulary(two_docs)
         c2 = build_dfm(two_docs, v2)
         out = apply_weighting(c2, fit_weighting(v2, Scheme.CTF_IDF)).toarray()

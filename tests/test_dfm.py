@@ -12,7 +12,7 @@ from ctfidf.preprocess import ProcessedDoc
 
 
 def docs_from(stem_lists):
-    return [ProcessedDoc(tuple(s), i) for i, s in enumerate(stem_lists)]
+    return [ProcessedDoc(tuple(s)) for s in stem_lists]
 
 
 class TestVocabulary:

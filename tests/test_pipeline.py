@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from ctfidf.irlba import load_factors, project
 from ctfidf.pipeline import (
     _EXPERIMENT,
     _HYPERPARAMETERS,
+    ModelSpec,
+    ReduceConfig,
     compare,
     comparison_table,
     config_from_dict,
@@ -49,6 +52,14 @@ def schema_keys(table, where=()):
         yield path, "object" if isinstance(kind, dict) else kind
         if isinstance(kind, dict):
             yield from schema_keys(kind, path)
+
+
+def replaced(obj, table, path, value):
+    """obj with the field at the JSON key path set to value."""
+    attr, kind, *_ = table[path[0]]
+    if len(path) > 1:
+        value = replaced(getattr(obj, attr), kind, path[1:], value)
+    return dataclasses.replace(obj, **{attr: value})
 
 
 def scrub(report_dict):
@@ -154,6 +165,51 @@ class TestConfig:
                     checked += 1
         assert checked > 150
 
+    def test_python_configs_get_the_json_checks(self, base_config):
+        config = config_from_dict(base_config)
+        checked = 0
+        for path, kind in schema_keys(_EXPERIMENT):
+            if len(path) == 1 and isinstance(_EXPERIMENT[path[0]][1], dict):
+                continue  # a section is a dataclass in Python
+            for sample in SAMPLES:
+                if admits(kind, sample):
+                    continue
+                try:
+                    bad = replaced(config, _EXPERIMENT, path, sample)
+                except ValueError as exc:  # SplitSpec checks its fraction
+                    assert path == ("split", "trainFraction"), path
+                    assert "train_fraction" in str(exc)
+                    continue
+                with pytest.raises(ConfigError) as err:
+                    bad.validate()
+                assert err.value.field == ".".join(path), (path, sample)
+                checked += 1
+        for kind, table in _HYPERPARAMETERS.items():
+            for key, (_, json_type, *_) in table.items():
+                for sample in SAMPLES:
+                    if admits(json_type, sample):
+                        continue
+                    bad = dataclasses.replace(config, model=ModelSpec(
+                        kind=kind, hyperparameters={key: sample}))
+                    with pytest.raises(ConfigError) as err:
+                        bad.validate()
+                    assert err.value.field == f"model.hyperparameters.{key}"
+                    checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("reduce, field", [
+        (ReduceConfig(enabled="no"), "reduce.enabled"),
+        (ReduceConfig(k=np.int64(20)), "reduce.k")])
+    def test_python_config_fails_before_ingest(self, base_config, tmp_path,
+                                               reduce, field):
+        base_config["dataset"]["path"] = str(tmp_path / "absent.tsv")
+        config = dataclasses.replace(config_from_dict(base_config),
+                                     reduce=reduce)
+        with pytest.raises(ConfigError) as err:
+            run_experiment(config)
+        assert err.value.field == field
+        assert not Path(config.output_dir).exists()
+
     @pytest.mark.parametrize("patch, field", BAD_VALUES)
     def test_bad_value_names_key_before_ingest(self, base_config, tmp_path,
                                                patch, field):
@@ -175,9 +231,9 @@ class TestConfig:
 
     def test_bad_weighting(self, base_config):
         base_config["weighting"] = "bm25"
-        cfg = config_from_dict(base_config)
-        with pytest.raises(ConfigError):
-            cfg.validate()
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(base_config)
+        assert err.value.field == "weighting"
 
     def test_relative_dataset_path_resolved(self, base_config, tmp_path):
         src = Path(base_config["dataset"]["path"])
@@ -336,8 +392,8 @@ def test_artifacts_alone_reproduce_the_confusion(base_config, patch, request):
     config = config_from_dict(merged(base_config, patch))
     run_experiment(config)
     out = Path(config.output_dir)
-    _, test = split(load_dataset(config.dataset.path,
-                                 config.dataset.load_format()), config.split)
+    _, test = split(load_dataset(config.dataset.path, config.dataset),
+                    config.split)
     report = json.loads((out / "report.json").read_text())
     predicted = predict_from_artifacts(out, test.texts())
     assert confusion(test.labels(), predicted,

@@ -100,7 +100,6 @@ class TestPreprocessDoc:
         assert len(docs) == 3
         assert docs[0].stems == ()
         assert docs[2].stems == ()
-        assert [d.original_index for d in docs] == [0, 1, 2]
 
     def test_stems_each_distinct_kept_token_once(self, monkeypatch):
         calls = []
@@ -153,4 +152,3 @@ def test_corpus_matches_per_token_reference(digits, min_length, data):
                 for text in texts]
     docs = preprocess_corpus(texts)
     assert [d.stems for d in docs] == expected
-    assert [d.original_index for d in docs] == list(range(len(texts)))

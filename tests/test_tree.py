@@ -470,9 +470,13 @@ def test_pruned_is_the_exact_smallest_minimizing_subtree(data, alpha):
     assert abs(sum(own[i] for i in leaves) - optimum) <= Fraction(1, 10**12)
     if margin is None or margin > Fraction(1, 10**12):
         assert leaves == subtree_leaves(nodes, oracle_cut)
-    X, rows = as_feature_matrix(D, "csc"), np.arange(len(y))
-    assert (tree._predict_nodes(nodes, X, rows, cut)
-            == tree._predict_nodes(tree._collapse(nodes, cut), X, rows))
+    # the copy holds that subtree and nothing else: its leaves, as a binary
+    # tree, and their class counts
+    pruned = tree._collapse(nodes, cut)
+    assert len(pruned) == 2 * len(leaves) - 1
+    assert (sorted(pruned[i].class_counts.tolist()
+                   for i in subtree_leaves(pruned, ()))
+            == sorted(nodes[i].class_counts.tolist() for i in leaves))
 
 
 def test_json_roundtrip():

@@ -20,7 +20,7 @@ from ctfidf.weighting import (
 
 
 def docs_from(stem_lists):
-    return [ProcessedDoc(tuple(s), i) for i, s in enumerate(stem_lists)]
+    return [ProcessedDoc(tuple(s)) for s in stem_lists]
 
 
 def vocab_with(doc_freq, n_docs):
