@@ -25,12 +25,14 @@ from .ingest import (
 )
 from .irlba import IrlbaConfig, SvdFactors, irlba, project
 from .pipeline import (
+    Classifier,
     DatasetConfig,
     ExperimentConfig,
     ModelSpec,
     ReduceConfig,
     compare,
     explain,
+    load_artifacts,
     load_config,
     run_experiment,
 )

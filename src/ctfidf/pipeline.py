@@ -1,11 +1,11 @@
 """Configuration-driven experiment runner.
 
 One experiment is: load and label-normalize a dataset, split it, fit the
-vocabulary / weighting / (optionally) the truncated SVD on the training
-partition only, project both partitions, train a classifier, and score
-the held-out test set, timing each stage. Everything lands in the output
-directory: ``report.json``, ``model.json``, ``vocab.json``, and
-``factors.bin`` when reduction ran.
+vocabulary / weighting / (optionally) the truncated SVD and a model on the
+training partition only, and score the held-out set through the fitted
+:class:`Classifier`, timing each stage. Output: ``report.json`` and the
+classifier's ``vocab.json``, ``model.json`` and, when reduction ran,
+``factors.bin``, which :func:`load_artifacts` reads back.
 
 Every random choice (split, SVD start vector, learner) derives from
 seeds recorded in the config, so a rerun with the same config and data
@@ -21,15 +21,20 @@ import json
 import operator
 import platform
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import dfm, ingest, weighting
 from .evaluation import EvalReport, confusion, metrics
-from .exceptions import ConfigError, CtfidfError, UnsupportedModelError
-from .irlba import IrlbaConfig, SvdFactors, irlba, project, save_factors
+from .exceptions import (ConfigError, CtfidfError, DimensionMismatchError,
+                         UnsupportedModelError)
+from .irlba import (IrlbaConfig, SvdFactors, irlba, load_factors, project,
+                    save_factors)
 from .preprocess import PreprocessConfig, preprocess_corpus
-from .svm import predict_svm, train_svm
+from .svm import SvmModel, predict_svm, train_svm
 from .tree import (
     DecisionTreeModel,
     FeatureImportanceReport,
@@ -196,6 +201,9 @@ def _snapshot(obj, table: dict) -> dict:
     for key, (attr, kind, *_) in table.items():
         value = getattr(obj, attr)
         if isinstance(kind, dict):
+            section = typing.get_type_hints(type(obj))[attr]
+            if not isinstance(value, section):
+                raise ConfigError(key, f"must be a {section.__name__}")
             value = _snapshot(value, kind)
         elif isinstance(value, dict):
             value = dict(sorted(value.items()))
@@ -291,6 +299,71 @@ def _stage(name: str, times: dict[str, int]):
         times[name] = int(round((time.perf_counter() - t0) * 1000))
 
 
+@dataclass(frozen=True)
+class Classifier:
+    """Raw text to labels through the stages fitted on the training split;
+    ``factors`` is None for a model trained on term features."""
+
+    vocab: dfm.Vocabulary
+    weights: weighting.WeightingModel
+    factors: SvdFactors | None
+    model: SvmModel | DecisionTreeModel
+
+    def classify(self, texts: list[str]) -> list[str]:
+        """One label per text, in order."""
+        X = weighting.apply_weighting(
+            dfm.build_dfm(preprocess_corpus(texts), self.vocab), self.weights)
+        if self.factors is not None:
+            X = project(X, self.factors)
+        if isinstance(self.model, SvmModel):
+            return predict_svm(self.model, X)
+        return predict_dtree(self.model, X)
+
+    def save(self, out_dir: Path, positive_label: str) -> None:
+        """Write ``vocab.json``, ``model.json`` and, with factors,
+        ``factors.bin`` to ``out_dir``, for :func:`load_artifacts`."""
+        _write_json(out_dir / "vocab.json", {
+            "terms": list(self.vocab.index_to_term),
+            "docFreq": [int(c) for c in self.vocab.doc_freq],
+            "nDocs": self.vocab.n_docs, "weighting": self.weights.to_dict()})
+        factors = "factors.bin" if self.factors is not None else None
+        _write_json(out_dir / "model.json", {
+            **self.model.to_dict(),
+            "featureSpace": "reduced" if factors else "terms",
+            "positiveLabel": positive_label,
+            "references": {"vocab": "vocab.json", "factors": factors,
+                           "report": "report.json"}})
+        if factors:
+            save_factors(str(out_dir / factors), self.factors)
+
+
+def load_artifacts(model_path: str | Path) -> Classifier:
+    """The classifier saved with a ``model.json``, read back through the
+    files its ``references`` name.
+
+    A ``featureSpace`` that disagrees with ``references.factors`` raises
+    :class:`DimensionMismatchError`; sizes are checked where they are used.
+    """
+    model_path = Path(model_path)
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    refs = doc["references"]
+    if doc["featureSpace"] != ("reduced" if refs["factors"] else "terms"):
+        raise DimensionMismatchError(
+            f"featureSpace {doc['featureSpace']!r} disagrees with "
+            f"references.factors {refs['factors']!r}")
+    vocab_doc = json.loads((model_path.parent / refs["vocab"])
+                           .read_text(encoding="utf-8"))
+    terms = tuple(vocab_doc["terms"])
+    vocab = dfm.Vocabulary({t: j for j, t in enumerate(terms)}, terms,
+                           np.asarray(vocab_doc["docFreq"], dtype=np.int64),
+                           vocab_doc["nDocs"])
+    factors = (load_factors(str(model_path.parent / refs["factors"]))
+               if refs["factors"] else None)
+    kind = SvmModel if doc["kind"] == "svm" else DecisionTreeModel
+    weights = weighting.WeightingModel.from_dict(vocab_doc["weighting"])
+    return Classifier(vocab, weights, factors, kind.from_dict(doc))
+
+
 def run_experiment(config: ExperimentConfig) -> EvalReport:
     """Execute the full pipeline and write all artifacts to disk."""
     config.validate()
@@ -320,23 +393,21 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
     with _stage("preprocess", times):
         train_docs = preprocess_corpus(train.texts(), config.preprocess)
-        test_docs = preprocess_corpus(test.texts(), config.preprocess)
 
     with _stage("dfm", times):
         vocab = dfm.build_vocabulary(train_docs,
                                      min_doc_freq=config.min_doc_freq)
         X_train_counts = dfm.build_dfm(train_docs, vocab)
-        X_test_counts = dfm.build_dfm(test_docs, vocab)
 
     with _stage("weighting", times):
         scheme = weighting.Scheme(config.weighting_scheme)
         wmodel = weighting.fit_weighting(vocab, scheme)
         X_train = weighting.apply_weighting(X_train_counts, wmodel)
-        X_test = weighting.apply_weighting(X_test_counts, wmodel)
 
     factors: SvdFactors | None = None
     effective_k: int | None = None
     with _stage("reduce", times):
+        F_train = X_train
         if config.reduce.enabled:
             max_k = min(X_train.shape) - 1
             effective_k = min(config.reduce.k, max_k)
@@ -348,19 +419,14 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                 raise ConfigError(f"reduce.{exc.field}",
                                   exc.message) from exc
             F_train = project(X_train, factors)
-            F_test = project(X_test, factors)
-        else:
-            F_train, F_test = X_train, X_test
 
     with _stage("train", times):
         y_train, y_test = train.labels(), test.labels()
-        model = _train_model(config, F_train, y_train)
+        classifier = Classifier(vocab, wmodel, factors,
+                                _train_model(config, F_train, y_train))
 
     with _stage("evaluate", times):
-        if config.model.kind == "svm":
-            y_pred = predict_svm(model, F_test)
-        else:
-            y_pred = predict_dtree(model, F_test)
+        y_pred = classifier.classify(test.texts())
         cm = confusion(y_test, y_pred, config.positive_label)
         frag = metrics(cm)
 
@@ -384,24 +450,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                         dataset_fingerprint=corpus.sha256, extras=extras)
 
     _write_json(out_dir / "report.json", report.to_dict())
-    vocab_doc = {
-        "terms": list(vocab.index_to_term),
-        "docFreq": [int(c) for c in vocab.doc_freq],
-        "nDocs": vocab.n_docs,
-        "weighting": wmodel.to_dict(),
-    }
-    _write_json(out_dir / "vocab.json", vocab_doc)
-    model_doc = model.to_dict()
-    model_doc["featureSpace"] = "reduced" if config.reduce.enabled else "terms"
-    model_doc["positiveLabel"] = config.positive_label
-    model_doc["references"] = {
-        "vocab": "vocab.json",
-        "factors": "factors.bin" if factors is not None else None,
-        "report": "report.json",
-    }
-    _write_json(out_dir / "model.json", model_doc)
-    if factors is not None:
-        save_factors(str(out_dir / "factors.bin"), factors)
+    classifier.save(out_dir, config.positive_label)
     return report
 
 
@@ -411,25 +460,18 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def explain(model_path: str | Path, top_n: int) -> FeatureImportanceReport:
     """Rank the stems a tree model splits on; refuses other model kinds."""
-    model_path = Path(model_path)
-    doc = json.loads(model_path.read_text(encoding="utf-8"))
-    if doc.get("kind") != "dtree":
+    classifier = load_artifacts(model_path)
+    if not isinstance(classifier.model, DecisionTreeModel):
         raise UnsupportedModelError(
-            f"explain requires a decision tree, got {doc.get('kind')!r}: "
-            "linear SVM weights are not per-stem split decisions")
-    if doc.get("featureSpace") != "terms":
+            "explain requires a decision tree, got a linear SVM: its "
+            "weights are not per-stem split decisions")
+    if classifier.factors is not None:
         raise UnsupportedModelError(
             "explain requires a tree trained on named term features; this "
             "model was trained on reduced (anonymous) components")
-    vocab_ref = doc.get("references", {}).get("vocab", "vocab.json")
-    vocab_doc = json.loads((model_path.parent / vocab_ref)
-                           .read_text(encoding="utf-8"))
-    names = list(vocab_doc["terms"])
-    model = DecisionTreeModel.from_dict(doc)
-    report = feature_importance(model, names)
-    if top_n <= 0:
-        return FeatureImportanceReport(ranking=())
-    return FeatureImportanceReport(ranking=report.ranking[:top_n])
+    report = feature_importance(classifier.model,
+                                list(classifier.vocab.index_to_term))
+    return FeatureImportanceReport(ranking=report.ranking[:max(top_n, 0)])
 
 
 def compare(config_paths: list[str]) -> list[dict]:

@@ -218,6 +218,22 @@ class TestExplainCli:
         model = str(Path(base_config["outputDir"]) / "model.json")
         assert main(["explain", model]) == 1
 
+    def test_mismatched_artifacts_exit_one(self, base_config, tmp_path,
+                                           capsys):
+        base_config["model"] = {"kind": "dtree"}
+        base_config["reduce"] = {"enabled": False}
+        base_config["cvFolds"] = 2
+        assert main(["run", "--config",
+                     str(write_config(tmp_path, base_config))]) == 0
+        capsys.readouterr()
+        model = Path(base_config["outputDir"]) / "model.json"
+        doc = json.loads(model.read_text())
+        doc["featureSpace"] = "reduced"  # but references.factors is null
+        model.write_text(json.dumps(doc))
+        assert main(["explain", str(model)]) == 1
+        assert re.match(r"error: featureSpace 'reduced' disagrees",
+                        capsys.readouterr().err)
+
 
 class TestCompareCli:
     def test_two_configs(self, base_config, tmp_path, capsys):

@@ -1,12 +1,14 @@
-"""No module of the package imports a name it never uses, and no
-module-level private name goes unreferenced.
+"""No module of the package imports a name it never uses, no module-level
+private name goes unreferenced, and no public name is used only by tests.
 
 Static checks on the syntax tree, standing in for a linter: an imported
 name counts as used when it appears anywhere else in the module as a name
 or as the root of an attribute chain. ``__init__.py`` is exempt, since its
 imports are the package's re-exports. A module-level name with one leading
 underscore counts as referenced when it is read, taken as an attribute or
-imported anywhere in the package outside its own definition.
+imported anywhere in the package outside its own definition. A public
+module-level name counts as used when the same holds in the package
+(``__init__.py`` aside), the benchmark (``perfbench/``) or the demos.
 
 The benchmark's tracer (``perfbench/tracing.py``) wraps package functions
 by module and name, so every name it lists must still exist in
@@ -23,6 +25,7 @@ import ctfidf
 
 MODULES = sorted(p for p in Path(ctfidf.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+REPO = Path(__file__).parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,8 +54,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def private_definitions(tree: ast.Module):
-    """(name, defining statement) of each module-level ``_name``."""
+def definitions(tree: ast.Module, private: bool = True):
+    """(name, defining statement) of each module-level ``_name``, or with
+    ``private=False`` of each module-level public name."""
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             names = [stmt.name]
@@ -64,7 +68,7 @@ def private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__") and name.startswith("_") == private:
                 yield name, stmt
 
 
@@ -80,11 +84,15 @@ def references(node: ast.AST) -> list[str]:
     return out
 
 
-def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+def unreferenced(sources: dict[str, str], private: bool = True,
+                 users: tuple[str, ...] = ()) -> list[str]:
+    """module.name of each definition in ``sources`` that no source or
+    user references outside the definition itself."""
     trees = {module: ast.parse(src) for module, src in sources.items()}
-    refs = [r for tree in trees.values() for r in references(tree)]
+    refs = [r for tree in [*trees.values(), *map(ast.parse, users)]
+            for r in references(tree)]
     return sorted(f"{module}.{name}" for module, tree in trees.items()
-                  for name, stmt in private_definitions(tree)
+                  for name, stmt in definitions(tree, private)
                   if refs.count(name) == references(stmt).count(name))
 
 
@@ -93,20 +101,33 @@ def test_checker_finds_unreferenced_privates():
         "a": ("_LIMIT = 3\n_dead: int = 1\n"
               "def _rec(n):\n    return _rec(n - 1) if n else _LIMIT\n"
               "def _helper():\n    pass\n"
-              "class _Box:\n    pass\n"),
+              "class _Box:\n    pass\n"
+              "def run():\n    return run\nSIZE = 2\n"),
         "b": "import a\nfrom a import _helper\n_helper(a._Box)\n",
     }
-    assert unreferenced_privates(sources) == ["a._dead", "a._rec"]
+    assert unreferenced(sources) == ["a._dead", "a._rec"]
+    users = ("import a\nprint(a.SIZE)\n",)
+    assert unreferenced(sources, private=False) == ["a.SIZE", "a.run"]
+    assert unreferenced(sources, private=False, users=users) == ["a.run"]
 
 
 def test_every_private_name_is_referenced():
     package = Path(ctfidf.__file__).parent.glob("*.py")
-    assert unreferenced_privates(
+    assert unreferenced(
         {p.stem: p.read_text(encoding="utf-8") for p in package}) == []
 
 
+def test_every_public_name_is_used_outside_the_tests():
+    users = [REPO / d for d in ("perfbench", "demos")]
+    assert unreferenced(
+        {p.stem: p.read_text(encoding="utf-8") for p in MODULES},
+        private=False,
+        users=tuple(p.read_text(encoding="utf-8")
+                    for d in users for p in sorted(d.glob("*.py")))) == []
+
+
 def test_benchmark_tracer_targets_exist():
-    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    path = REPO / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)

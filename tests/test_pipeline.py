@@ -5,11 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctfidf.dfm import Vocabulary, build_dfm
 from ctfidf.evaluation import confusion
-from ctfidf.exceptions import ConfigError, UnsupportedModelError
+from ctfidf.exceptions import (
+    ConfigError,
+    DimensionMismatchError,
+    UnsupportedModelError,
+)
 from ctfidf.ingest import load_dataset, split
-from ctfidf.irlba import load_factors, project
+from ctfidf.irlba import load_factors, save_factors
 from ctfidf.pipeline import (
     _EXPERIMENT,
     _HYPERPARAMETERS,
@@ -19,13 +22,11 @@ from ctfidf.pipeline import (
     comparison_table,
     config_from_dict,
     explain,
+    load_artifacts,
     load_config,
     run_experiment,
 )
-from ctfidf.preprocess import preprocess_corpus
-from ctfidf.svm import SvmModel, predict_svm
-from ctfidf.tree import DecisionTreeModel, predict_dtree, train_dtree
-from ctfidf.weighting import WeightingModel, apply_weighting
+from ctfidf.tree import train_dtree
 
 from conftest import BAD_VALUES, merged, write_config
 
@@ -210,6 +211,21 @@ class TestConfig:
         assert err.value.field == field
         assert not Path(config.output_dir).exists()
 
+    @pytest.mark.parametrize("section", [
+        key for key, (_, kind, *_) in _EXPERIMENT.items()
+        if isinstance(kind, dict)])
+    def test_python_section_must_be_its_dataclass(self, base_config, tmp_path,
+                                                  section):
+        base_config["dataset"]["path"] = str(tmp_path / "absent.tsv")
+        config = config_from_dict(base_config)
+        # the section's JSON form, which config_from_dict would accept
+        config = dataclasses.replace(
+            config, **{_EXPERIMENT[section][0]: config.resolved()[section]})
+        with pytest.raises(ConfigError) as err:
+            run_experiment(config)
+        assert err.value.field == section
+        assert not Path(config.output_dir).exists()
+
     @pytest.mark.parametrize("patch, field", BAD_VALUES)
     def test_bad_value_names_key_before_ingest(self, base_config, tmp_path,
                                                patch, field):
@@ -353,26 +369,6 @@ class TestRunExperiment:
         assert r1.dataset_fingerprint == expect
 
 
-def predict_from_artifacts(out_dir: Path, texts: list[str]) -> list[str]:
-    """Labels for texts from vocab.json, model.json and factors.bin alone,
-    through the public API with every other setting at its default."""
-    model_doc = json.loads((out_dir / "model.json").read_text())
-    vocab_doc = json.loads((out_dir / "vocab.json").read_text())
-    terms = tuple(vocab_doc["terms"])
-    vocab = Vocabulary(term_to_index={t: j for j, t in enumerate(terms)},
-                       index_to_term=terms,
-                       doc_freq=np.asarray(vocab_doc["docFreq"]),
-                       n_docs=vocab_doc["nDocs"])
-    X = apply_weighting(build_dfm(preprocess_corpus(texts), vocab),
-                        WeightingModel.from_dict(vocab_doc["weighting"]))
-    factors = model_doc["references"]["factors"]
-    if factors:
-        X = project(X, load_factors(str(out_dir / factors)))
-    if model_doc["kind"] == "svm":
-        return predict_svm(SvmModel.from_dict(model_doc), X)
-    return predict_dtree(DecisionTreeModel.from_dict(model_doc), X)
-
-
 @pytest.mark.parametrize("patch", [
     pytest.param({"model": {"kind": kind, "hyperparameters": hp},
                   "weighting": scheme, "reduce": {"enabled": reduce, "k": 40}},
@@ -395,9 +391,53 @@ def test_artifacts_alone_reproduce_the_confusion(base_config, patch, request):
     _, test = split(load_dataset(config.dataset.path, config.dataset),
                     config.split)
     report = json.loads((out / "report.json").read_text())
-    predicted = predict_from_artifacts(out, test.texts())
+    classifier = load_artifacts(out / "model.json")
+    predicted = classifier.classify(test.texts())
     assert confusion(test.labels(), predicted,
                      config.positive_label).to_dict() == report["confusion"]
+    assert classifier.classify([]) == []
+
+
+def shorten(key):
+    """An edit of a JSON artifact that drops the last entry of ``key``."""
+    return lambda doc: doc.update({key: doc[key][:-1]})
+
+
+def shorten_v(factors):
+    return dataclasses.replace(factors, V=factors.V[:-1])
+
+
+# (model kind, reduced, artifact, edit): each edit leaves artifacts that
+# disagree with each other, as a hand edit or a mixed-up copy could
+@pytest.mark.parametrize("kind, reduced, artifact, edit", [
+    pytest.param("dtree", False, "model.json",
+                 lambda doc: doc.update(featureSpace="reduced"),
+                 id="reduced-without-factors"),
+    pytest.param("dtree", True, "model.json",
+                 lambda doc: doc.update(featureSpace="terms"),
+                 id="terms-with-factors"),
+    pytest.param("dtree", False, "vocab.json", shorten("terms"),
+                 id="terms-short-of-idf"),
+    pytest.param("svm", True, "factors.bin", shorten_v,
+                 id="factors-short-of-vocabulary"),
+    pytest.param("svm", False, "model.json", shorten("weights"),
+                 id="svm-weights-short"),
+])
+def test_mismatched_artifacts_rejected(base_config, kind, reduced, artifact,
+                                       edit):
+    config = config_from_dict(merged(base_config, {
+        "model": {"kind": kind}, "reduce": {"enabled": reduced}}))
+    run_experiment(config)
+    path = Path(config.output_dir) / artifact
+    if artifact == "factors.bin":
+        save_factors(str(path), edit(load_factors(str(path))))
+    else:
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    with pytest.raises(DimensionMismatchError):
+        load_artifacts(path.parent / "model.json").classify(
+            ["free prize, reply now", "see you at lunch"])
 
 
 class TestExplain:
