@@ -47,6 +47,10 @@ class DimensionMismatchError(CtfidfError):
     """Operand shapes are incompatible."""
 
 
+class ArtifactError(CtfidfError):
+    """A saved artifact lacks a key or names an unknown model kind."""
+
+
 class NonFiniteValueError(CtfidfError):
     """A feature matrix holds a NaN or infinite value."""
 

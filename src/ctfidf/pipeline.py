@@ -29,8 +29,8 @@ import numpy as np
 
 from . import dfm, ingest, weighting
 from .evaluation import EvalReport, confusion, metrics
-from .exceptions import (ConfigError, CtfidfError, DimensionMismatchError,
-                         UnsupportedModelError)
+from .exceptions import (ArtifactError, ConfigError, CtfidfError,
+                         DimensionMismatchError, UnsupportedModelError)
 from .irlba import (IrlbaConfig, SvdFactors, irlba, load_factors, project,
                     save_factors)
 from .preprocess import PreprocessConfig, preprocess_corpus
@@ -337,31 +337,53 @@ class Classifier:
             save_factors(str(out_dir / factors), self.factors)
 
 
+_MODEL_KINDS = {"svm": SvmModel, "dtree": DecisionTreeModel}
+
+
+@contextlib.contextmanager
+def _keys_of(path: Path):
+    """Raise a key missing from the JSON read from ``path`` as an
+    :class:`ArtifactError` that names the file and the key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ArtifactError(f"{path}: missing key {exc.args[0]!r}") from None
+
+
 def load_artifacts(model_path: str | Path) -> Classifier:
     """The classifier saved with a ``model.json``, read back through the
     files its ``references`` name.
 
-    A ``featureSpace`` that disagrees with ``references.factors`` raises
-    :class:`DimensionMismatchError`; sizes are checked where they are used.
+    A key missing from ``model.json`` or ``vocab.json``, or a ``kind`` that
+    names no model, raises :class:`ArtifactError` naming the file and the
+    key or kind. A ``featureSpace`` that disagrees with
+    ``references.factors`` raises :class:`DimensionMismatchError`; sizes
+    are checked where they are used.
     """
     model_path = Path(model_path)
     doc = json.loads(model_path.read_text(encoding="utf-8"))
-    refs = doc["references"]
-    if doc["featureSpace"] != ("reduced" if refs["factors"] else "terms"):
-        raise DimensionMismatchError(
-            f"featureSpace {doc['featureSpace']!r} disagrees with "
-            f"references.factors {refs['factors']!r}")
-    vocab_doc = json.loads((model_path.parent / refs["vocab"])
-                           .read_text(encoding="utf-8"))
-    terms = tuple(vocab_doc["terms"])
-    vocab = dfm.Vocabulary({t: j for j, t in enumerate(terms)}, terms,
-                           np.asarray(vocab_doc["docFreq"], dtype=np.int64),
-                           vocab_doc["nDocs"])
+    with _keys_of(model_path):
+        refs = doc["references"]
+        if doc["featureSpace"] != ("reduced" if refs["factors"] else "terms"):
+            raise DimensionMismatchError(
+                f"featureSpace {doc['featureSpace']!r} disagrees with "
+                f"references.factors {refs['factors']!r}")
+        if doc["kind"] not in _MODEL_KINDS:
+            raise ArtifactError(f"{model_path}: model kind {doc['kind']!r} "
+                                f"is not one of {sorted(_MODEL_KINDS)}")
+        model = _MODEL_KINDS[doc["kind"]].from_dict(doc)
+        vocab_path = model_path.parent / refs["vocab"]
+    vocab_doc = json.loads(vocab_path.read_text(encoding="utf-8"))
+    with _keys_of(vocab_path):
+        terms = tuple(vocab_doc["terms"])
+        vocab = dfm.Vocabulary({t: j for j, t in enumerate(terms)}, terms,
+                               np.asarray(vocab_doc["docFreq"],
+                                          dtype=np.int64),
+                               vocab_doc["nDocs"])
+        weights = weighting.WeightingModel.from_dict(vocab_doc["weighting"])
     factors = (load_factors(str(model_path.parent / refs["factors"]))
                if refs["factors"] else None)
-    kind = SvmModel if doc["kind"] == "svm" else DecisionTreeModel
-    weights = weighting.WeightingModel.from_dict(vocab_doc["weighting"])
-    return Classifier(vocab, weights, factors, kind.from_dict(doc))
+    return Classifier(vocab, weights, factors, model)
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:

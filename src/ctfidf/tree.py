@@ -11,23 +11,30 @@ which also gives sparse input as canonical CSC without stored zeros.
 Dense arrays and sparse matrices share one split kernel. Each fit sorts
 the stored values once, by (feature, value): a dense array stores every
 cell, a sparse matrix only its nonzeros. A node's entries are those
-values and their rows, with the features that store any and where each
-one's values end. Children and cross-validation folds take their entries
-by a stable row filter, so nothing is sorted again, and both storage
-forms grow bit-identical trees. A feature whose stored values miss some
-of a node's rows gets, while the node is scored, one zero-valued entry
-for those rows; a dense feature never does. Split search therefore costs
-time in proportion to the stored values of a node rather than to its
-rows times the feature count, which is why a sparse term matrix is cheap
-to fit. Cuts that cannot win are not scored: those inside a run of
-distinct values that all belong to one class (see :func:`_best_split`).
+values, their rows and their rows' classes, with the features that store
+any and where each one's values end; as in SLIQ's attribute lists
+(Mehta, Agrawal & Rissanen, 1996), each entry carries its class, so a
+split search gathers nothing. Children and cross-validation folds take
+their entries by a stable row filter, so nothing is sorted again, and
+both storage forms grow bit-identical trees. A feature whose stored
+values miss some of a node's rows gets, while the node is scored, one
+zero-valued entry for those rows; a dense feature never does. Split
+search therefore costs time in proportion to the stored values of a node
+rather than to its rows times the feature count, which is why a sparse
+term matrix is cheap to fit. Cuts that cannot win are not scored: those
+inside a run of distinct values that all belong to one class. Class
+counts are taken at the scored cuts only, by binary search among a
+class's entries where cuts are few and by a running sum where they are
+many (see :func:`_best_split`).
 
 The complexity parameter is selected from a fixed grid by stratified
 k-fold cross-validation maximizing mean F1. Each fold grows a single
 tree. For each grid value one bottom-up pass over its nodes finds the
 smallest subtree minimizing cost plus alpha times the leaf count
 (Breiman et al., 1984, ch. 10), and the fold predicts on that subtree,
-copied into a pruned node list just as the final model is.
+copied into a pruned node list just as the final model is. The final fit
+knows its alpha, so it does not search nodes whose split pruning would
+cut for certain (see :func:`_grow`).
 """
 
 from __future__ import annotations
@@ -120,6 +127,12 @@ class DecisionTreeModel:
 # Stored values scored at once: bounds the kernel's scratch memory, not
 # the result.
 _SCORE_CAP = 1 << 16
+# A binary search per cut costs about as much as this many entries of a
+# running sum: a scoring group with fewer cuts per entry counts by position.
+_POSITION_COST = 8
+# A row filter that drops at most one entry in this many copies the rest
+# by a boolean mask.
+_FEW_DROPPED = 64
 
 
 def _column(X, j: int, rows: np.ndarray) -> np.ndarray:
@@ -149,19 +162,35 @@ def _sorted_entries(X):
                 X.indices[order])
     n, n_features = X.shape
     cols = np.ascontiguousarray(X.T)
-    order = np.argsort(cols, axis=1, kind="stable")
+    # need not be stable: the order within a run of equal values moves no
+    # count, and a cut next to such a run is always scored
+    order = np.argsort(cols, axis=1)
     return (np.arange(n_features), n * np.arange(1, n_features + 1),
             np.take_along_axis(cols, order, 1).ravel(),
             order.astype(np.int32).ravel())
 
 
 def _subset(entries, keep: np.ndarray):
-    """The entries where ``keep`` holds, still in (feature, value) order."""
-    feat, end, val, row = entries
-    at = np.flatnonzero(keep)  # a gather by index beats a boolean mask
-    end = np.searchsorted(at, end)
+    """The entries where ``keep`` holds, still in (feature, value) order,
+    with every per-entry array (value, row and any class) filtered alike.
+
+    When at most one entry in ``_FEW_DROPPED`` is dropped, as in a node
+    that sheds a few rows, a boolean mask copies the rest fastest, and
+    each feature's end moves back by the dropped entries before it.
+    Otherwise a gather by index is faster, since a mask's branches would
+    mispredict.
+    """
+    feat, end, *per_entry = entries
+    n = keep.shape[0]
+    if (n - np.count_nonzero(keep)) * _FEW_DROPPED <= n:
+        end = end - np.searchsorted(np.flatnonzero(~keep), end)
+        per_entry = [a[keep] for a in per_entry]
+    else:
+        at = np.flatnonzero(keep)
+        end = np.searchsorted(at, end)
+        per_entry = [np.take(a, at) for a in per_entry]
     stored = np.diff(end, prepend=0) > 0
-    return feat[stored], end[stored], val[at], row[at]
+    return (feat[stored], end[stored], *per_entry)
 
 
 def _gini(counts: np.ndarray, n: int) -> float:
@@ -171,16 +200,14 @@ def _gini(counts: np.ndarray, n: int) -> float:
     return float(1.0 - np.dot(p, p))
 
 
-def _best_split(entries, y_idx: np.ndarray, total: np.ndarray,
-                parent_gini: float):
+def _best_split(entries, total: np.ndarray, parent_gini: float):
     """Best (gain, feature, threshold) over a node's sorted entries.
 
-    ``entries`` are the node's (feature, end, value, row) arrays from
-    :func:`_sorted_entries` or :func:`_subset`, ``y_idx`` the class of
-    every row and ``total`` the node's class counts. Candidates are the
-    boundaries between distinct values of one feature; the first maximum
-    in (feature, value) order wins. Features are scored in groups of
-    about ``_SCORE_CAP`` stored values.
+    ``entries`` are the node's (feature, end, value, row, class) arrays,
+    as :func:`_grow` holds them, and ``total`` the node's class counts.
+    Candidates are the boundaries between distinct values of one feature;
+    the first maximum in (feature, value) order wins. Features are scored
+    in groups of about ``_SCORE_CAP`` stored values.
 
     A feature that stores fewer values than the node has rows gets one
     zero entry between its negative and positive values, weighted by the
@@ -199,14 +226,25 @@ def _best_split(entries, y_idx: np.ndarray, total: np.ndarray,
     strictly concave along the stretch, and in exact arithmetic every cut
     inside it scores worse than one of the stretch's two ends. Those ends
     are scored, or are a feature's empty split, worth 0. A zero entry
-    stands for rows of any class, so it ends a stretch. All counts are
-    integers, exact in float64, so each scored cut's gain is the same
-    float whichever cuts are skipped.
+    stands for rows of any class, so it ends a stretch.
+
+    Class counts are taken at the scored cuts only. Each class but the
+    node's largest is counted, and the largest is what remains of the
+    left side's rows. A group with few cuts for its length counts the
+    class's stored entries by binary search among their positions
+    (:func:`_count_by_position`); one with many takes a running sum over
+    them (:func:`_count_running`). The zero entries at or before a cut add
+    their class counts. All counts are integers, exact in float64, so each
+    scored cut's gain is the same float whichever cuts are skipped and
+    whichever way they are counted.
     """
-    feat, end, val, row = entries
+    feat, end, val, _, cls = entries
     nn = float(total.sum())
     n_classes = total.shape[0]
-    bounds = np.r_[0, end]
+    largest = int(np.argmax(total))
+    counted = [k for k in range(n_classes) if k != largest]
+    bounds = np.concatenate(([0], end))
+    no_zeros = (np.zeros(0, dtype=np.intp), np.zeros((n_classes + 1, 1)))
     best = (0.0, -1, 0.0)
     lo = 0
     while lo < feat.shape[0]:
@@ -215,11 +253,11 @@ def _best_split(entries, y_idx: np.ndarray, total: np.ndarray,
         s, e = bounds[lo], bounds[hi]
         local = bounds[lo:hi + 1] - s
         v = val[s:e]
-        c = y_idx[row[s:e]]
-        short = np.flatnonzero(np.diff(local) < nn)
-        zero_at, missing = short, np.zeros((0, n_classes))  # no zero entries
+        c = cls[s:e]
+        short = np.flatnonzero(local[1:] - local[:-1] < nn)
+        zero_at, zero_cum = no_zeros
         if short.shape[0]:
-            v, c, local, zero_at, missing = _with_zero_entries(
+            v, c, local, zero_at, zero_cum = _with_zero_entries(
                 v, c, local, short, total)
         step = v[:-1] < v[1:]
         last = local[1:-1] - 1  # each feature's last entry but the group's
@@ -235,19 +273,19 @@ def _best_split(entries, y_idx: np.ndarray, total: np.ndarray,
         if cut.shape[0] == 0:
             lo = hi
             continue
-        # the feature of each cut, within the group
-        seg = np.repeat(np.arange(local.shape[0] - 1),
-                        np.diff(np.searchsorted(cut, local)))
-        # every feature's entries weigh total[k] (nn in all), so
-        # subtracting that of the features before restarts each count
-        if short.shape[0]:
-            left_n = (_running(c >= 0, zero_at, missing.sum(axis=1))[cut]
-                      - seg * nn)
-        else:
-            left_n = cut + 1.0 - seg * nn
-        left = [_running(c == k, zero_at, missing[:, k])[cut] - seg * total[k]
-                for k in range(n_classes - 1)]
-        left.append(left_n - sum(left))
+        seg = np.searchsorted(local[1:], cut, side="right")  # cut's feature
+        # the zero entries at or before each cut add their counts (cut + 1
+        # counted each once); every feature's entries weigh total[k] (nn in
+        # all), so subtracting that of the features before restarts each
+        # count
+        zeros = np.searchsorted(zero_at, cut, side="right")
+        left_n = cut + 1.0 + zero_cum[-1][zeros] - seg * nn
+        count = (_count_by_position if cut.shape[0] * _POSITION_COST
+                 < c.shape[0] else _count_running)
+        left = [None] * n_classes
+        for k in counted:
+            left[k] = count(c == k, cut) + zero_cum[k][zeros] - seg * total[k]
+        left[largest] = left_n - sum(left[k] for k in counted)
         sum_sq_l = sum(lc * lc for lc in left)
         sum_sq_r = sum((tk - lc) * (tk - lc) for tk, lc in zip(total, left))
         right_n = nn - left_n
@@ -263,20 +301,23 @@ def _best_split(entries, y_idx: np.ndarray, total: np.ndarray,
     return best
 
 
-def _running(is_k: np.ndarray, zero_at: np.ndarray,
-             zero_weight: np.ndarray) -> np.ndarray:
-    """Running count of the entries where ``is_k`` holds, the zero entries
-    at ``zero_at`` adding ``zero_weight`` instead."""
-    if zero_at.shape[0]:
-        is_k = is_k.astype(np.float64)
-        is_k[zero_at] = zero_weight
-    return np.cumsum(is_k)
+def _count_by_position(is_k: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """How many entries where ``is_k`` holds lie at or before each cut,
+    found among their positions; for cuts that are few."""
+    return np.searchsorted(np.flatnonzero(is_k), cut, side="right")
+
+
+def _count_running(is_k: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """As :func:`_count_by_position`, from a running sum; for dense cuts."""
+    return np.cumsum(is_k, dtype=np.int32)[cut]
 
 
 def _with_zero_entries(v, c, local, short, total):
     """A scoring group's values, classes and feature bounds with one zero
     entry added to each feature in ``short``, the features that do not
-    store every row; the zero entries' positions and class counts.
+    store every row; the zero entries' positions; and their running
+    counts, one column before each zero entry and one after the last: a
+    row for each class, and a last row of their weights less one each.
 
     A zero entry has class -1, so it matches no stored entry's class.
     """
@@ -297,13 +338,32 @@ def _with_zero_entries(v, c, local, short, total):
     shift = np.zeros(group + 1, dtype=local.dtype)
     shift[short + 1] = 1
     local = local + np.cumsum(shift)
-    return v_all, c_all, local, zero_at, missing
+    zero_cum = np.zeros((n_classes + 1, short.shape[0] + 1))
+    np.cumsum(missing.T, axis=1, out=zero_cum[:-1, 1:])
+    np.cumsum(missing.sum(axis=1) - 1.0, out=zero_cum[-1, 1:])
+    return v_all, c_all, local, zero_at, zero_cum
 
 
 def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
-          labels: list[str], params: TreeParams) -> list[TreeNode]:
-    """Grow a tree on ``rows`` of X, whose sorted entries are ``entries``."""
+          labels: list[str], params: TreeParams,
+          alpha: float = 0.0) -> list[TreeNode]:
+    """Grow a tree on ``rows`` of X, whose sorted entries are ``entries``.
+
+    Each entry gets its row's class here, from ``y_idx``, and children take
+    it along. The caller's entries carry none: the whole fit's entries stay
+    alive through cross-validation, where classes would raise the memory
+    peak.
+
+    A node whose cost ``R(t) = n_t / N * gini(t)`` is at most ``alpha / 2``
+    stays a leaf without a split search, as a pure node does at any alpha.
+    As a leaf it costs ``R(t) + alpha``, at most ``1.5 * alpha``; a subtree
+    below it of two leaves or more costs at least ``2 * alpha``. So pruning
+    at ``alpha`` (:func:`_pruned`) would cut the subtree, with ``alpha / 2``
+    to spare for rounding, and the pruned tree is the same.
+    """
     nodes = [_make_node(y_idx, rows, labels)]
+    n_root = rows.shape[0]
+    entries = (*entries, np.take(y_idx, entries[3]))
     # stack of (node_slot, row_indices, sorted entries, depth)
     stack = [(0, rows, entries, 0)]
     goes_left = np.zeros(X.shape[0], dtype=bool)
@@ -312,9 +372,9 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
         node = nodes[slot]
         if (depth >= params.max_depth
                 or rows.shape[0] < max(2, params.min_samples_split)
-                or node.impurity == 0.0):
+                or rows.shape[0] / n_root * node.impurity <= alpha / 2):
             continue
-        gain, j, thr = _best_split(entries, y_idx,
+        gain, j, thr = _best_split(entries,
                                    node.class_counts.astype(np.float64),
                                    node.impurity)
         if j < 0 or gain <= 0.0:
@@ -324,7 +384,7 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
         if left_rows.shape[0] == 0 or right_rows.shape[0] == 0:
             continue
         goes_left[rows] = mask
-        keep = goes_left[entries[3]]  # by the row of each entry
+        keep = np.take(goes_left, entries[3])  # by each entry's row
         node.feature = int(j)
         node.threshold = float(thr)
         node.gain = gain
@@ -445,7 +505,10 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
         raise UnknownPositiveLabelError(
             f"{positive!r} not among labels {labels}")
     lab_to_idx = {lab: i for i, lab in enumerate(labels)}
-    y_idx = np.asarray([lab_to_idx[lab] for lab in y], dtype=np.int64)
+    # the smallest signed dtype, as each sorted entry carries its class and
+    # a zero entry has class -1
+    y_idx = np.asarray([lab_to_idx[lab] for lab in y],
+                       dtype=np.min_scalar_type(-len(labels)))
     entries = _sorted_entries(X)
 
     cv_scores: dict[float, float] = {}
@@ -475,7 +538,8 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
     else:
         best_alpha = params.ccp_alpha
 
-    grown = _grow(X, entries, np.arange(len(y)), y_idx, labels, params)
+    grown = _grow(X, entries, np.arange(len(y)), y_idx, labels, params,
+                  best_alpha)
     final = _collapse(grown, _pruned(grown, best_alpha))
     return DecisionTreeModel(nodes=final, params=params, label_order=labels,
                              chosen_alpha=best_alpha, cv_mean_f1=cv_scores)

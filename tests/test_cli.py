@@ -234,6 +234,25 @@ class TestExplainCli:
         assert re.match(r"error: featureSpace 'reduced' disagrees",
                         capsys.readouterr().err)
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc.update(kind="knn"), "model kind 'knn' is not one of"),
+        (lambda doc: doc.pop("references"), "missing key 'references'"),
+    ], ids=["kind-knn", "no-references"])
+    def test_malformed_model_exit_one(self, base_config, tmp_path, capsys,
+                                      edit, named):
+        base_config["model"] = {"kind": "dtree",
+                                "hyperparameters": {"ccpAlpha": 1e-3}}
+        base_config["reduce"] = {"enabled": False}
+        assert main(["run", "--config",
+                     str(write_config(tmp_path, base_config))]) == 0
+        capsys.readouterr()
+        model = Path(base_config["outputDir"]) / "model.json"
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        assert main(["explain", str(model)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {model}: {named}")
+
 
 class TestCompareCli:
     def test_two_configs(self, base_config, tmp_path, capsys):

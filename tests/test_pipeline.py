@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ctfidf.evaluation import confusion
 from ctfidf.exceptions import (
+    ArtifactError,
     ConfigError,
     DimensionMismatchError,
     UnsupportedModelError,
@@ -438,6 +440,39 @@ def test_mismatched_artifacts_rejected(base_config, kind, reduced, artifact,
     with pytest.raises(DimensionMismatchError):
         load_artifacts(path.parent / "model.json").classify(
             ["free prize, reply now", "see you at lunch"])
+
+
+# a term tree at a fixed ccpAlpha, as the sms_terms_tree benchmark fits
+TERMS_TREE = {"model": {"kind": "dtree",
+                        "hyperparameters": {"ccpAlpha": 1e-3}},
+              "reduce": {"enabled": False}}
+
+
+# (artifact, edit, what the error names after the file)
+@pytest.mark.parametrize("artifact, edit, named", [
+    pytest.param("model.json", lambda doc: doc.update(kind="knn"),
+                 "model kind 'knn' is not one of ['dtree', 'svm']",
+                 id="kind-knn"),
+    pytest.param("model.json", lambda doc: doc.pop("references"),
+                 "missing key 'references'", id="no-references"),
+    pytest.param("model.json", lambda doc: doc.pop("featureSpace"),
+                 "missing key 'featureSpace'", id="no-feature-space"),
+    pytest.param("model.json", lambda doc: doc.pop("nodes"),
+                 "missing key 'nodes'", id="no-nodes"),
+    pytest.param("vocab.json", lambda doc: doc.pop("terms"),
+                 "missing key 'terms'", id="no-terms"),
+    pytest.param("vocab.json", lambda doc: doc["weighting"].pop("idf"),
+                 "missing key 'idf'", id="no-idf"),
+])
+def test_malformed_artifacts_rejected(base_config, artifact, edit, named):
+    config = config_from_dict(merged(base_config, TERMS_TREE))
+    run_experiment(config)
+    path = Path(config.output_dir) / artifact
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match=re.escape(f"{path}: {named}")):
+        load_artifacts(path.parent / "model.json")
 
 
 class TestExplain:

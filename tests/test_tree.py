@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from unittest import mock
@@ -370,7 +371,8 @@ def test_dense_and_csr_grow_the_exhaustive_tree(data):
 @st.composite
 def continuous_matrices(draw):
     """Dense matrix of continuous draws, so no nonzero value repeats, with
-    a share of its cells zero; its CSR copy; and labels."""
+    a share of its cells zero; its CSR copy; and labels, either drawn
+    evenly from the classes or all one class but a row or two."""
     n = draw(st.integers(2, 40))
     f = draw(st.integers(1, 5))
     n_classes = draw(st.integers(2, 3))
@@ -378,14 +380,20 @@ def continuous_matrices(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     D = rng.standard_normal((n, f))
     D[rng.random((n, f)) < zero_share] = 0.0
-    y = draw(st.lists(st.sampled_from("abc"[:n_classes]), min_size=n,
-                      max_size=n))
+    if draw(st.booleans()):  # many cuts to score: counted by running sums
+        y = draw(st.lists(st.sampled_from("abc"[:n_classes]), min_size=n,
+                          max_size=n))
+    else:  # few cuts: counted by position
+        y = ["a"] * n
+        for r in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=2)):
+            y[r] = draw(st.sampled_from("bc"[:n_classes - 1]))
     return D, sp.csr_matrix(D), y
 
 
 @settings(max_examples=150, deadline=None)
 @given(continuous_matrices(), st.sampled_from([tree._SCORE_CAP, 1]))
-def test_every_split_is_the_exhaustive_best(data, cap):
+def every_split_is_the_exhaustive_best(data, cap):
     # distinct values make one-entry value runs, so the kernel's
     # same-class-stretch skip applies at every depth
     D, X, y = data
@@ -406,6 +414,53 @@ def test_every_split_is_the_exhaustive_best(data, cap):
         goes_left = D[rows, node["featureIndex"]] <= node["threshold"]
         stack.append((node["leftChild"], rows[goes_left]))
         stack.append((node["rightChild"], rows[~goes_left]))
+
+
+def test_every_split_is_the_exhaustive_best():
+    # the property must reach both ways of counting a class at the cuts
+    with mock.patch.object(tree, "_count_by_position",
+                           wraps=tree._count_by_position) as by_position, \
+            mock.patch.object(tree, "_count_running",
+                              wraps=tree._count_running) as running:
+        every_split_is_the_exhaustive_best()
+    assert by_position.called and running.called
+
+
+@pytest.mark.parametrize("fmt", ["dense", "csr"])
+def test_more_labels_than_int8_holds(fmt):
+    # 130 labels, two rows each: the classes that sorted entries carry
+    # must not wrap around at 127. Equal gains tie to the lowest cut, so
+    # the tree peels one label off at a time and needs the depth.
+    X = np.arange(260.0)[:, None]
+    y = [f"c{i // 2:03d}" for i in range(260)]
+    model = train_dtree(sp.csr_matrix(X) if fmt == "csr" else X, y,
+                        TreeParams(max_depth=200, ccp_alpha=0.0))
+    assert predict_dtree(model, X) == y
+    assert len(model.nodes) == 2 * 130 - 1
+    assert [n.class_counts.sum() for n in model.nodes if n.is_leaf] == \
+        [2] * 130
+
+
+def golden_data():
+    """1,500 x 40 standard normals and labels from a noisy linear rule of
+    the first eight features, made without BLAS, so that CV grows bushy,
+    balanced trees."""
+    rng = np.random.default_rng(20261019)
+    X = rng.standard_normal((1500, 40))
+    score = ((X[:, :8] * np.linspace(1.0, -1.0, 8)).sum(axis=1)
+             + 0.8 * rng.standard_normal(1500))
+    return X, ["pos" if s > 0 else "neg" for s in score]
+
+
+def test_golden_tree():
+    # a bushy fit, pinned: a faster split kernel must grow it bit for bit
+    X, y = golden_data()
+    model = train_dtree(X, y)
+    assert (len(model.nodes), model.chosen_alpha) == (281, 1e-3)
+    digest = hashlib.sha256(json.dumps(model.to_dict(), sort_keys=True)
+                            .encode()).hexdigest()
+    assert digest == ("51221686fb84777c01081d094f1d3e0c"
+                      "6ae375ce3b231ef9630668bd8f876cb1")
 
 
 def grown_tree(D: np.ndarray, y: list[str]) -> list[tree.TreeNode]:
@@ -477,6 +532,29 @@ def test_pruned_is_the_exact_smallest_minimizing_subtree(data, alpha):
     assert (sorted(pruned[i].class_counts.tolist()
                    for i in subtree_leaves(pruned, ()))
             == sorted(nodes[i].class_counts.tolist() for i in leaves))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices(), st.data())
+def test_early_leaf_prunes_as_full_growth_does(data, draw):
+    # the final fit leaves unsearched every node whose cost R(t) is at most
+    # alpha / 2; its tree must be full growth pruned at alpha, also when
+    # alpha is R(t) or 2 R(t) of a grown node
+    D, X, y = data
+    assume(len(set(y)) >= 2)
+    grown = grown_tree(D, y)
+    n_total = int(grown[0].class_counts.sum())
+    cost = st.sampled_from([int(nd.class_counts.sum()) / n_total
+                            * nd.impurity for nd in grown])
+    alpha = draw.draw(st.one_of(st.sampled_from(CCP_ALPHA_GRID),
+                                st.floats(0.0, 0.5), cost,
+                                cost.map(lambda r: 2 * r)))
+    expected = DecisionTreeModel(
+        tree._collapse(grown, tree._pruned(grown, alpha)),
+        TreeParams(ccp_alpha=alpha), sorted(set(y)), alpha).to_dict()
+    for M in (D, X):
+        assert train_dtree(M, y, TreeParams(ccp_alpha=alpha)).to_dict() \
+            == expected
 
 
 def test_json_roundtrip():
