@@ -50,6 +50,12 @@ Implementation notes:
 * Residuals: by construction A v_i = s_i u_i exactly, and
   ``||A^T u_i - s_i v_i|| = beta * |last row of W|`` where B = W S Y^T,
   so convergence tests cost nothing beyond the small SVD.
+* A restart rotates the bases in place, ``_ROTATE_ROWS`` rows at a time:
+  row i of U W depends only on row i of U, so a block's product can
+  overwrite that block, and the only extra memory is one block's product.
+  A whole product U W would be a second basis-sized array (15 MB at the
+  paper's k = 300). The returned factors are formed one basis at a time,
+  and each basis is released once its product is taken.
 """
 
 from __future__ import annotations
@@ -77,6 +83,8 @@ _LOCAL_KEEP = 0.5
 _LOCAL_FLOOR = 1e-6
 # share of its norm a Gram-Schmidt pass must keep, or a second pass runs
 _DGKS_KEEP = 1.0 / np.sqrt(2.0)
+# rows of a basis one step of a restart's in-place rotation covers
+_ROTATE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -112,9 +120,14 @@ class IrlbaConfig:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Truncated factors A ~ U diag(s) V^T with convergence metadata."""
+    """Truncated factors A ~ U diag(s) V^T with convergence metadata.
 
-    U: np.ndarray | None  # m x k, orthonormal columns; None once loaded
+    ``U`` is None in factors read by :func:`load_factors` and in the
+    ``Classifier`` that ``run_experiment`` builds: projecting documents
+    needs only ``V``, so U is neither saved nor kept.
+    """
+
+    U: np.ndarray | None  # m x k, orthonormal columns, or None (see above)
     s: np.ndarray  # k, descending, nonnegative
     V: np.ndarray  # n x k, orthonormal columns
     k: int
@@ -142,6 +155,19 @@ def spmv_t(A, x: np.ndarray) -> np.ndarray:
     return np.asarray(A.T @ x).ravel()
 
 
+class _WithTranspose:
+    """A matrix with its transpose built once per fit, for ``spmv`` and
+    ``spmv_t``, which read only ``shape``, ``@`` and ``T``. A sparse
+    matrix's own ``.T`` builds a new object on every call; either way the
+    transpose is a view of the matrix's arrays, not a copy."""
+
+    def __init__(self, A):
+        self.A, self.T, self.shape = A, A.T, A.shape
+
+    def __matmul__(self, x: np.ndarray):
+        return self.A @ x
+
+
 def _orthogonalize(Q: np.ndarray, w: np.ndarray):
     """Classical Gram-Schmidt against the columns of Q, twice only if needed.
 
@@ -159,6 +185,15 @@ def _orthogonalize(Q: np.ndarray, w: np.ndarray):
         w = w - Q @ c2
         c = c + c2
     return w, c
+
+
+def _rotate(Q: np.ndarray, R: np.ndarray) -> None:
+    """Q[:, :c] = Q[:, :r] @ R in place, for R of shape (r, c),
+    ``_ROTATE_ROWS`` rows at a time."""
+    r, c = R.shape
+    for lo in range(0, Q.shape[0], _ROTATE_ROWS):
+        rows = slice(lo, lo + _ROTATE_ROWS)
+        Q[rows, :c] = Q[rows, :r] @ R
 
 
 def _fresh_direction(rng: np.random.Generator, basis: np.ndarray,
@@ -240,6 +275,7 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
     if wide:
         A = A.T.tocsr() if sp.issparse(A) else A.T
         m, n = n, m
+    A = _WithTranspose(A)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
     U = np.zeros((m, work), order="F")
@@ -264,8 +300,12 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
 
         if done or restarts >= cfg.max_restarts:
             worst = float(residuals.max() / s[0]) if s[0] > 0 else 0.0
-            Uk = U @ W[:, :k]
+            # V, the shorter basis, first: of the two orders, this one has
+            # the lower peak (U, V's product and the larger of V and U's)
             Vk = V[:, :work] @ Yt[:k, :].T
+            del V
+            Uk = U @ W[:, :k]
+            del U
             if wide:
                 Uk, Vk = Vk, Uk
             factors = SvdFactors(U=Uk, s=s[:k].copy(), V=Vk, k=k,
@@ -278,10 +318,9 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
                 f"restarts (worst relative residual {worst:.3e})",
                 restarts=restarts, worst_residual=worst, best=factors)
 
-        U[:, :keep] = U @ W[:, :keep]
-        new_V = V[:, :work] @ Yt[:keep, :].T
+        _rotate(U, W[:, :keep])
+        _rotate(V, Yt[:keep, :].T)
         V[:, keep] = V[:, work]  # residual direction joins the basis
-        V[:, :keep] = new_V
         B[:, :] = 0.0
         B[:keep, :keep] = np.diag(s[:keep])
         j_start = keep

@@ -441,6 +441,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                 raise ConfigError(f"reduce.{exc.field}",
                                   exc.message) from exc
             F_train = project(X_train, factors)
+            # nothing downstream reads the training side's U
+            factors = dataclasses.replace(factors, U=None)
 
     with _stage("train", times):
         y_train, y_test = train.labels(), test.labels()

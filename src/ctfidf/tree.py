@@ -133,6 +133,11 @@ _POSITION_COST = 8
 # A row filter that drops at most one entry in this many copies the rest
 # by a boolean mask.
 _FEW_DROPPED = 64
+# Entries a gather by row or by position takes at a time: np.take widens
+# its index to intp, 8 bytes an entry, and a block bounds that copy. Each
+# block is taken with mode="clip" (every index is in range), which lets
+# np.take write to ``out`` directly, where "raise" would buffer it.
+_TAKE_BLOCK = 1 << 16
 
 
 def _column(X, j: int, rows: np.ndarray) -> np.ndarray:
@@ -178,19 +183,45 @@ def _subset(entries, keep: np.ndarray):
     that sheds a few rows, a boolean mask copies the rest fastest, and
     each feature's end moves back by the dropped entries before it.
     Otherwise a gather by index is faster, since a mask's branches would
-    mispredict.
+    mispredict. It runs ``_TAKE_BLOCK`` entries at a time, so that the
+    kept positions, 8 bytes each, are listed for one block at a time; a
+    feature's end is the kept entries of the blocks before it plus those
+    before it in its own block.
     """
     feat, end, *per_entry = entries
     n = keep.shape[0]
-    if (n - np.count_nonzero(keep)) * _FEW_DROPPED <= n:
+    kept = np.count_nonzero(keep)
+    if (n - kept) * _FEW_DROPPED <= n:
         end = end - np.searchsorted(np.flatnonzero(~keep), end)
         per_entry = [a[keep] for a in per_entry]
     else:
-        at = np.flatnonzero(keep)
-        end = np.searchsorted(at, end)
-        per_entry = [np.take(a, at) for a in per_entry]
+        out = [np.empty(kept, dtype=a.dtype) for a in per_entry]
+        new_end = np.empty(end.shape[0], dtype=np.intp)
+        done = 0  # kept entries before the block
+        e = 0  # first end not yet moved
+        for lo in range(0, n, _TAKE_BLOCK):
+            block = slice(lo, lo + _TAKE_BLOCK)
+            at = np.flatnonzero(keep[block])
+            e_hi = np.searchsorted(end, lo + _TAKE_BLOCK, side="right")
+            new_end[e:e_hi] = done + np.searchsorted(at, end[e:e_hi] - lo)
+            for a, o in zip(per_entry, out):
+                np.take(a[block], at, out=o[done:done + at.shape[0]],
+                        mode="clip")
+            done += at.shape[0]
+            e = e_hi
+        end, per_entry = new_end, out
     stored = np.diff(end, prepend=0) > 0
     return (feat[stored], end[stored], *per_entry)
+
+
+def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` for an int32 ``index`` of rows, ``_TAKE_BLOCK``
+    entries at a time."""
+    out = np.empty(index.shape[0], dtype=table.dtype)
+    for lo in range(0, index.shape[0], _TAKE_BLOCK):
+        block = slice(lo, lo + _TAKE_BLOCK)
+        np.take(table, index[block], out=out[block], mode="clip")
+    return out
 
 
 def _gini(counts: np.ndarray, n: int) -> float:
@@ -363,7 +394,7 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
     """
     nodes = [_make_node(y_idx, rows, labels)]
     n_root = rows.shape[0]
-    entries = (*entries, np.take(y_idx, entries[3]))
+    entries = (*entries, _take(y_idx, entries[3]))
     # stack of (node_slot, row_indices, sorted entries, depth)
     stack = [(0, rows, entries, 0)]
     goes_left = np.zeros(X.shape[0], dtype=bool)
@@ -384,7 +415,7 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
         if left_rows.shape[0] == 0 or right_rows.shape[0] == 0:
             continue
         goes_left[rows] = mask
-        keep = np.take(goes_left, entries[3])  # by each entry's row
+        keep = _take(goes_left, entries[3])  # by each entry's row
         node.feature = int(j)
         node.threshold = float(thr)
         node.gain = gain
@@ -522,8 +553,8 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
             tr = all_idx[~test_mask]
             te = all_idx[test_mask]
             # a stable filter keeps the root's (feature, value) order
-            grown = _grow(X, _subset(entries, ~test_mask[entries[3]]), tr,
-                          y_idx, labels, params)
+            grown = _grow(X, _subset(entries, _take(~test_mask, entries[3])),
+                          tr, y_idx, labels, params)
             y_te = [y[i] for i in te]
             for a in CCP_ALPHA_GRID:
                 pruned = _collapse(grown, _pruned(grown, a))

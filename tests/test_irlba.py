@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from ctfidf.exceptions import (
     NoConvergenceError,
 )
 from ctfidf.irlba import (
+    _ROTATE_ROWS,
     IrlbaConfig,
     _orthogonalize,
     irlba,
@@ -185,6 +188,39 @@ class TestIrlba:
                 irlba(A, IrlbaConfig(k=6, work_size=8, tol=1e-14,
                                      max_restarts=0, seed=4))
             assert err.value.best.residual == err.value.worst_residual
+
+    def test_rotation_across_row_blocks_vs_dense_oracle(self):
+        # both bases span several rotation blocks, the last one partial,
+        # and the fit restarts: each restart rotates U and V block by block
+        for m, n in ((3 * _ROTATE_ROWS + 77, _ROTATE_ROWS + 40),
+                     (_ROTATE_ROWS + 40, 3 * _ROTATE_ROWS + 77)):
+            A = random_sparse(m, n, 0.02, seed=18)
+            f = irlba(A, IrlbaConfig(k=12, tol=1e-8, seed=4))
+            assert f.restarts >= 2
+            dense = np.linalg.svd(A.toarray(), compute_uv=False)[:12]
+            assert (np.abs(f.s - dense) / dense).max() <= 1e-6
+            check_factors(A, f, 1e-8)
+
+    def test_peak_memory_is_the_bases_and_the_factors(self):
+        """The traced peak inside irlba stays below its two Lanczos bases
+        plus the returned factors, with slack for the small matrix B, its
+        SVD and one rotation block. Forming a restart's rotation or the
+        final factors as whole products beside both bases exceeds it."""
+        m, n, k = 3000, 2000, 30
+        A = random_sparse(m, n, 0.01, seed=1)
+        cfg = IrlbaConfig(k=k, tol=1e-8, seed=0)
+        work = cfg.resolve_work(m, n)
+        tracemalloc.start()
+        try:
+            f = irlba(A, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.restarts >= 2
+        bases = m * work + n * (work + 1)  # float64 entries
+        factors = (m + n) * k
+        slack = 3 * work * work + _ROTATE_ROWS * work
+        assert peak <= 8 * (bases + factors + slack)
 
     def test_zero_matrix(self):
         A = sp.csr_matrix((20, 15))

@@ -426,6 +426,36 @@ def test_every_split_is_the_exhaustive_best():
     assert by_position.called and running.called
 
 
+@pytest.mark.parametrize("drop", [0.5, 0.95, 0.005])
+def test_subset_across_take_blocks_matches_one_gather(drop):
+    # _subset and _take work tree._TAKE_BLOCK entries at a time; over
+    # entries spanning several blocks (exactly two for the 512-row dense
+    # matrix) they must give what one whole gather gives. 0.005 takes
+    # the boolean-mask copy.
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((512, 256))
+    # features from 1-2 stored values (often all dropped) to nearly full
+    density = np.r_[np.full(8, 0.002), rng.uniform(0.0, 1.0, 248)]
+    sparse = sp.csc_matrix(rng.standard_normal((1100, 256))
+                           * (rng.random((1100, 256)) < density))
+    assert 512 * 256 == 2 * tree._TAKE_BLOCK < sparse.nnz
+    for X in (dense, sparse):
+        classes = rng.integers(-3, 4, X.shape[0]).astype(np.int8)
+        entries = tree._sorted_entries(X)
+        entries = (*entries, tree._take(classes, entries[3]))
+        assert np.array_equal(entries[-1], classes[entries[3]])
+        keep = rng.random(entries[2].shape[0]) >= drop
+        feat, end, *per_entry = entries
+        at = np.flatnonzero(keep)
+        end = np.searchsorted(at, end)
+        stored = np.diff(end, prepend=0) > 0
+        expected = (feat[stored], end[stored], *(a[at] for a in per_entry))
+        got = tree._subset(entries, keep)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
 @pytest.mark.parametrize("fmt", ["dense", "csr"])
 def test_more_labels_than_int8_holds(fmt):
     # 130 labels, two rows each: the classes that sorted entries carry
