@@ -8,7 +8,7 @@ occupied cell receives the small idf/N offset on top.
 import numpy as np
 
 from ctfidf.dfm import build_dfm, build_vocabulary
-from ctfidf.preprocess import PreprocessConfig, preprocess_corpus
+from ctfidf.preprocess import preprocess_corpus
 from ctfidf.weighting import Scheme, apply_weighting, fit_weighting
 
 texts = [
@@ -19,7 +19,7 @@ texts = [
     "the prize committee will call the winner",
 ]
 
-docs = preprocess_corpus(texts, PreprocessConfig())
+docs = preprocess_corpus(texts)
 vocab = build_vocabulary(docs)
 counts = build_dfm(docs, vocab)
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from ctfidf.irlba import IrlbaConfig, irlba, project
+from ctfidf.irlba import irlba, project
 
 m, n, k = 2000, 1500, 25
 A = sp.random(m, n, density=0.01,
@@ -20,7 +20,7 @@ print(f"sparse {m} x {n}, nnz = {A.nnz} "
       f"({100 * A.nnz / (m * n):.1f}% dense), k = {k}\n")
 
 t0 = time.perf_counter()
-factors = irlba(A, IrlbaConfig(k=k, tol=1e-8, seed=0))
+factors = irlba(A, k, tol=1e-8, seed=0)
 t_lanczos = time.perf_counter() - t0
 print(f"restarted Lanczos: {t_lanczos:.2f}s, {factors.restarts} restart(s)")
 

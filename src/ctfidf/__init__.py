@@ -23,7 +23,7 @@ from .ingest import (
     normalize_labels,
     split,
 )
-from .irlba import IrlbaConfig, SvdFactors, irlba, project
+from .irlba import SvdFactors, irlba, project
 from .pipeline import (
     Classifier,
     DatasetConfig,
@@ -48,7 +48,6 @@ from .preprocess import (
 from .svm import SvmModel, predict_svm, train_svm
 from .tree import (
     DecisionTreeModel,
-    TreeParams,
     feature_importance,
     predict_dtree,
     train_dtree,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import pipeline
 from .exceptions import ConfigError, CtfidfError
-from .irlba import IrlbaConfig, irlba
+from .irlba import irlba
 from .preprocess import preprocess_corpus, tokenize
 
 EXIT_OK = 0
@@ -131,7 +131,7 @@ def _cmd_svd_check(args: argparse.Namespace) -> int:
     A = mmread(args.matrix).tocsr()
     m, n = A.shape
     k = min(args.k, min(m, n) - 1)
-    factors = irlba(A, IrlbaConfig(k=k, tol=args.tol, seed=args.seed))
+    factors = irlba(A, k, tol=args.tol, seed=args.seed)
     orth_u = float(np.abs(factors.U.T @ factors.U - np.eye(k)).max())
     orth_v = float(np.abs(factors.V.T @ factors.V - np.eye(k)).max())
     res = float(np.linalg.norm(A.T @ factors.U - factors.V * factors.s,

@@ -23,10 +23,6 @@ class ConfusionMatrix:
     tn: int
     positive_label: str
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
     def to_dict(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
                 "positiveLabel": self.positive_label}

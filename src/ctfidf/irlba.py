@@ -2,10 +2,11 @@
 
 Finds the k largest singular triplets of a large sparse (or dense) matrix
 A without ever densifying it. One restart cycle runs Golub-Kahan-Lanczos
-bidiagonalization out to ``work_size`` basis vectors, takes the SVD of the
-small projected matrix, and checks Ritz residuals. If unconverged, the
-basis is collapsed onto the leading Ritz vectors plus the residual
-direction (augmentation) and the recurrence continues from there.
+bidiagonalization out to k + max(20, k // 2) basis vectors, at most
+min(m, n), takes the SVD of the small projected matrix, and checks Ritz
+residuals. If unconverged, the basis is collapsed onto the leading Ritz
+vectors plus the residual direction (augmentation) and the recurrence
+continues from there.
 
 Implementation notes:
 
@@ -88,37 +89,6 @@ _ROTATE_ROWS = 512
 
 
 @dataclass(frozen=True)
-class IrlbaConfig:
-    """Requested rank plus iteration controls.
-
-    ``work_size`` is the Lanczos basis dimension per restart; None picks
-    k + max(20, k // 2), clamped to min(m, n).
-    """
-
-    k: int
-    work_size: int | None = None
-    tol: float = 1e-5
-    max_restarts: int = 100
-    seed: int = 0
-
-    def resolve_work(self, m: int, n: int) -> int:
-        small = min(m, n)
-        if not 1 <= self.k < small:
-            raise ConfigError("k", f"need 1 <= k < min(m, n)={small}, got {self.k}")
-        if self.tol <= 0:
-            raise ConfigError("tol", f"must be positive, got {self.tol}")
-        if self.work_size is None:
-            work = min(self.k + max(20, self.k // 2), small)
-        else:
-            work = self.work_size
-        if not self.k < work <= small:
-            raise ConfigError(
-                "work_size",
-                f"need k < work_size <= min(m, n)={small}, got {work}")
-        return work
-
-
-@dataclass(frozen=True)
 class SvdFactors:
     """Truncated factors A ~ U diag(s) V^T with convergence metadata.
 
@@ -130,10 +100,7 @@ class SvdFactors:
     U: np.ndarray | None  # m x k, orthonormal columns, or None (see above)
     s: np.ndarray  # k, descending, nonnegative
     V: np.ndarray  # n x k, orthonormal columns
-    k: int
-    tol: float
     restarts: int
-    seed: int
     residual: float  # worst Ritz residual at return, relative to s_1
 
 
@@ -259,24 +226,32 @@ def _extend(A, U: np.ndarray, V: np.ndarray, B: np.ndarray,
     return beta, anorm
 
 
-def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
+def irlba(A, k: int, *, tol: float = 1e-5, seed: int = 0,
+          max_restarts: int = 100) -> SvdFactors:
     """Compute the k largest singular triplets of A.
 
     Converged means every one of the k Ritz residuals is at most
-    ``cfg.tol * s_1``. Raises :class:`NoConvergenceError` (with the
+    ``tol * s_1``. Raises :class:`NoConvergenceError` (with the
     best-effort factors in the payload) once ``max_restarts`` is spent.
+    A k outside [1, min(m, n)) or a tol that is not positive raises
+    :class:`ConfigError` naming ``k`` or ``tol``. ``seed`` draws the start
+    vector.
     """
     A = as_feature_matrix(A)
     m, n = A.shape
-    k = cfg.k
-    work = cfg.resolve_work(m, n)
+    small = min(m, n)
+    if not 1 <= k < small:
+        raise ConfigError("k", f"need 1 <= k < min(m, n)={small}, got {k}")
+    if tol <= 0:
+        raise ConfigError("tol", f"must be positive, got {tol}")
+    work = min(k + max(20, k // 2), small)  # Lanczos basis size per restart
     # V, the fully reorthogonalized basis, must be the shorter one
     wide = m < n
     if wide:
         A = A.T.tocsr() if sp.issparse(A) else A.T
         m, n = n, m
     A = _WithTranspose(A)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
 
     U = np.zeros((m, work), order="F")
     V = np.zeros((n, work + 1), order="F")
@@ -296,9 +271,9 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
         W, s, Yt = np.linalg.svd(B)
         anorm = max(anorm, float(s[0]))
         residuals = beta * np.abs(W[-1, :k])
-        done = bool(np.all(residuals <= cfg.tol * s[0]))
+        done = bool(np.all(residuals <= tol * s[0]))
 
-        if done or restarts >= cfg.max_restarts:
+        if done or restarts >= max_restarts:
             worst = float(residuals.max() / s[0]) if s[0] > 0 else 0.0
             # V, the shorter basis, first: of the two orders, this one has
             # the lower peak (U, V's product and the larger of V and U's)
@@ -308,9 +283,8 @@ def irlba(A, cfg: IrlbaConfig) -> SvdFactors:
             del U
             if wide:
                 Uk, Vk = Vk, Uk
-            factors = SvdFactors(U=Uk, s=s[:k].copy(), V=Vk, k=k,
-                                 tol=cfg.tol, restarts=restarts, seed=cfg.seed,
-                                 residual=worst)
+            factors = SvdFactors(U=Uk, s=s[:k].copy(), V=Vk,
+                                 restarts=restarts, residual=worst)
             if done:
                 return factors
             raise NoConvergenceError(
@@ -342,18 +316,18 @@ def project(X, factors: SvdFactors) -> np.ndarray:
 
 
 def save_factors(path: str, factors: SvdFactors) -> None:
-    """Write s, V and the metadata to an .npz container (any filename is
-    honored). U is left out: projecting new documents needs only V and s.
+    """Write s, V, the restart count and the residual to an .npz container
+    (any filename is honored). U is left out: projecting new documents
+    needs only V. The rank, tolerance and seed are in ``report.json``.
     """
     with open(path, "wb") as fh:
         np.savez(fh, s=factors.s, V=np.ascontiguousarray(factors.V),
-                 k=factors.k, tol=factors.tol, restarts=factors.restarts,
-                 seed=factors.seed, residual=factors.residual)
+                 restarts=factors.restarts, residual=factors.residual)
 
 
 def load_factors(path: str) -> SvdFactors:
     """Read factors written by :func:`save_factors`; their U is None."""
     with np.load(path, allow_pickle=False) as z:
-        return SvdFactors(U=None, s=z["s"], V=z["V"], k=int(z["k"]),
-                          tol=float(z["tol"]), restarts=int(z["restarts"]),
-                          seed=int(z["seed"]), residual=float(z["residual"]))
+        return SvdFactors(U=None, s=z["s"], V=z["V"],
+                          restarts=int(z["restarts"]),
+                          residual=float(z["residual"]))

@@ -31,14 +31,12 @@ from . import dfm, ingest, weighting
 from .evaluation import EvalReport, confusion, metrics
 from .exceptions import (ArtifactError, ConfigError, CtfidfError,
                          DimensionMismatchError, UnsupportedModelError)
-from .irlba import (IrlbaConfig, SvdFactors, irlba, load_factors, project,
-                    save_factors)
+from .irlba import SvdFactors, irlba, load_factors, project, save_factors
 from .preprocess import PreprocessConfig, preprocess_corpus
 from .svm import SvmModel, predict_svm, train_svm
 from .tree import (
     DecisionTreeModel,
     FeatureImportanceReport,
-    TreeParams,
     feature_importance,
     predict_dtree,
     train_dtree,
@@ -90,7 +88,7 @@ _REDUCE = {
     "seed": ("seed", "integer", ">=", 0),
 }
 # model kind -> its hyperparameters: JSON key -> (argument of train_svm or
-# TreeParams, JSON type, bound); "seed" defaults to split.seed
+# train_dtree, JSON type, bound); "seed" defaults to split.seed
 _HYPERPARAMETERS = {
     "svm": {"C": ("C", "number", ">", 0),
             "tol": ("tol", "number", ">", 0),
@@ -277,11 +275,11 @@ def load_config(path: str | Path,
 
 def _train_model(config: ExperimentConfig, X, y: list[str]):
     hp = _hyperparameters(config.model)
-    seed = hp.pop("seed", config.split.seed)
+    hp.setdefault("seed", config.split.seed)
     if config.model.kind == "svm":
-        return train_svm(X, y, seed=seed, **hp)
-    return train_dtree(X, y, TreeParams(**hp), cv_folds=config.cv_folds,
-                       seed=seed, positive_label=config.positive_label)
+        return train_svm(X, y, **hp)
+    return train_dtree(X, y, cv_folds=config.cv_folds,
+                       positive_label=config.positive_label, **hp)
 
 
 @contextlib.contextmanager
@@ -414,7 +412,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                               f"{len(train)} training record(s)")
 
     with _stage("preprocess", times):
-        train_docs = preprocess_corpus(train.texts(), config.preprocess)
+        train_docs = preprocess_corpus(train.texts())
 
     with _stage("dfm", times):
         vocab = dfm.build_vocabulary(train_docs,
@@ -433,11 +431,10 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         if config.reduce.enabled:
             max_k = min(X_train.shape) - 1
             effective_k = min(config.reduce.k, max_k)
-            cfg = IrlbaConfig(k=effective_k, tol=config.reduce.tol,
-                              seed=config.reduce.seed)
             try:
-                factors = irlba(X_train, cfg)
-            except ConfigError as exc:  # IrlbaConfig names its own fields
+                factors = irlba(X_train, effective_k, tol=config.reduce.tol,
+                                seed=config.reduce.seed)
+            except ConfigError as exc:  # irlba names its own arguments
                 raise ConfigError(f"reduce.{exc.field}",
                                   exc.message) from exc
             F_train = project(X_train, factors)

@@ -74,16 +74,13 @@ def remove_stopwords(tokens: list[str], stopwords: frozenset[str]) -> list[str]:
     return [t for t in tokens if t not in stopwords]
 
 
-def preprocess_corpus(texts: list[str],
-                      config: PreprocessConfig | None = None) -> list[ProcessedDoc]:
-    """Run the full pipeline on every text, preserving order.
+def preprocess_corpus(texts: list[str]) -> list[ProcessedDoc]:
+    """Run the full pipeline on every text with the shipped stopword list,
+    preserving order.
 
     A document that loses every token is kept as an empty doc so row
     indices stay aligned with labels downstream.
     """
-    if config is None:
-        config = PreprocessConfig()
-    config.validate()
     stopwords = load_stopwords()
     memo: dict[str, str | None] = {}  # token -> its stem, None if dropped
 

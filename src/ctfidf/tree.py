@@ -74,27 +74,24 @@ class TreeNode:
         return self.left is None
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    max_depth: int = 30
-    min_samples_split: int = 2
-    ccp_alpha: float | None = None  # None selects from CCP_ALPHA_GRID by CV
-
-
 @dataclass
 class DecisionTreeModel:
+    """A pruned tree, the growth limits it was fitted with, and the alpha
+    it was pruned at: given, or chosen by CV from ``cv_mean_f1``."""
+
     nodes: list[TreeNode]
-    params: TreeParams
     label_order: list[str]
-    chosen_alpha: float = 0.0
+    max_depth: int
+    min_samples_split: int
+    chosen_alpha: float
     cv_mean_f1: dict[float, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "kind": "dtree",
             "labelOrder": list(self.label_order),
-            "params": {"maxDepth": self.params.max_depth,
-                       "minSamplesSplit": self.params.min_samples_split,
+            "params": {"maxDepth": self.max_depth,
+                       "minSamplesSplit": self.min_samples_split,
                        "ccpAlpha": self.chosen_alpha},
             "nodes": [{"featureIndex": n.feature, "threshold": n.threshold,
                        "impurity": n.impurity,
@@ -115,11 +112,10 @@ class DecisionTreeModel:
                           left=nd["leftChild"], right=nd["rightChild"],
                           predicted_label=nd["predictedLabel"])
                  for nd in d["nodes"]]
-        return cls(nodes=nodes,
-                   params=TreeParams(p["maxDepth"], p["minSamplesSplit"],
-                                     p["ccpAlpha"]),
-                   label_order=list(d["labelOrder"]),
-                   chosen_alpha=p["ccpAlpha"] or 0.0,
+        return cls(nodes=nodes, label_order=list(d["labelOrder"]),
+                   max_depth=p["maxDepth"],
+                   min_samples_split=p["minSamplesSplit"],
+                   chosen_alpha=p["ccpAlpha"],
                    cv_mean_f1={e["ccpAlpha"]: e["meanF1"]
                                for e in d.get("cvMeanF1", [])})
 
@@ -376,7 +372,7 @@ def _with_zero_entries(v, c, local, short, total):
 
 
 def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
-          labels: list[str], params: TreeParams,
+          labels: list[str], max_depth: int, min_samples_split: int,
           alpha: float = 0.0) -> list[TreeNode]:
     """Grow a tree on ``rows`` of X, whose sorted entries are ``entries``.
 
@@ -401,8 +397,8 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
     while stack:
         slot, rows, entries, depth = stack.pop()
         node = nodes[slot]
-        if (depth >= params.max_depth
-                or rows.shape[0] < max(2, params.min_samples_split)
+        if (depth >= max_depth
+                or rows.shape[0] < max(2, min_samples_split)
                 or rows.shape[0] / n_root * node.impurity <= alpha / 2):
             continue
         gain, j, thr = _best_split(entries,
@@ -511,17 +507,18 @@ def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray) -> list[str]:
     return list(out)
 
 
-def train_dtree(X, y: list[str], params: TreeParams | None = None,
-                cv_folds: int = 10, seed: int = 0, *,
+def train_dtree(X, y: list[str], *, max_depth: int = 30,
+                min_samples_split: int = 2, ccp_alpha: float | None = None,
+                cv_folds: int = 10, seed: int = 0,
                 positive_label: str | None = None) -> DecisionTreeModel:
     """Fit a CART classifier, tuning the pruning strength by CV.
 
-    Each fold's F1 treats ``positive_label`` (by default the last label in
-    sorted order) as the positive class. With ``params.ccp_alpha`` set the
-    CV search is skipped and the tree is grown and pruned at that value
-    directly.
+    With ``ccp_alpha`` None, it is chosen from ``CCP_ALPHA_GRID`` by
+    ``cv_folds``-fold cross-validation split by ``seed``; each fold's F1
+    treats ``positive_label`` (by default the last label in sorted order)
+    as the positive class. With ``ccp_alpha`` set the CV search is skipped
+    and the tree is grown and pruned at that value directly.
     """
-    params = params or TreeParams()
     labels = sorted(set(y))
     if len(labels) < 2:
         raise SingleClassError(f"need >= 2 classes, got {labels}")
@@ -543,7 +540,7 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
     entries = _sorted_entries(X)
 
     cv_scores: dict[float, float] = {}
-    if params.ccp_alpha is None:
+    if ccp_alpha is None:
         fold_f1 = {a: [] for a in CCP_ALPHA_GRID}
         folds = kfold_indices(y, cv_folds, seed)
         all_idx = np.arange(len(y))
@@ -554,7 +551,7 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
             te = all_idx[test_mask]
             # a stable filter keeps the root's (feature, value) order
             grown = _grow(X, _subset(entries, _take(~test_mask, entries[3])),
-                          tr, y_idx, labels, params)
+                          tr, y_idx, labels, max_depth, min_samples_split)
             y_te = [y[i] for i in te]
             for a in CCP_ALPHA_GRID:
                 pruned = _collapse(grown, _pruned(grown, a))
@@ -567,12 +564,14 @@ def train_dtree(X, y: list[str], params: TreeParams | None = None,
         cv_scores = {a: float(np.mean(v)) for a, v in fold_f1.items()}
         best_alpha = max(CCP_ALPHA_GRID, key=lambda a: (cv_scores[a], -a))
     else:
-        best_alpha = params.ccp_alpha
+        best_alpha = ccp_alpha
 
-    grown = _grow(X, entries, np.arange(len(y)), y_idx, labels, params,
-                  best_alpha)
+    grown = _grow(X, entries, np.arange(len(y)), y_idx, labels, max_depth,
+                  min_samples_split, best_alpha)
     final = _collapse(grown, _pruned(grown, best_alpha))
-    return DecisionTreeModel(nodes=final, params=params, label_order=labels,
+    return DecisionTreeModel(nodes=final, label_order=labels,
+                             max_depth=max_depth,
+                             min_samples_split=min_samples_split,
                              chosen_alpha=best_alpha, cv_mean_f1=cv_scores)
 
 

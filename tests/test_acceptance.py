@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from ctfidf.dfm import build_dfm, build_vocabulary
 from ctfidf.evaluation import ConfusionMatrix, confusion, metrics
 from ctfidf.ingest import LoadFormat, load_dataset, normalize_labels
-from ctfidf.irlba import IrlbaConfig, irlba
+from ctfidf.irlba import irlba
 from ctfidf.pipeline import (
     DatasetConfig,
     ExperimentConfig,
@@ -252,7 +252,7 @@ class TestCriterion6IrlbaOracleSuite:
                           format="csr")
             A.data += 0.1
             tol = 1e-8
-            f = irlba(A, IrlbaConfig(k=k, tol=tol, seed=trial))
+            f = irlba(A, k, tol=tol, seed=trial)
             dense = np.linalg.svd(A.toarray(), compute_uv=False)[:k]
             assert dense[-1] > 0, f"trial {trial}: oracle rank < k"
             rel = float((np.abs(f.s - dense) / dense).max())

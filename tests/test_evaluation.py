@@ -36,10 +36,6 @@ class TestConfusion:
         cm = confusion(list("sshh"), list("shhh"), "s")
         assert (cm.tp, cm.fn, cm.fp, cm.tn) == (1, 1, 0, 2)
 
-    def test_total_is_sample_count(self):
-        cm = confusion(list("sshh"), list("shhh"), "s")
-        assert cm.total == 4
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             confusion(["a"], ["a", "b"], "a")

@@ -15,9 +15,8 @@ from ctfidf.exceptions import (
     NonFiniteValueError,
     as_feature_matrix,
 )
-from ctfidf.irlba import IrlbaConfig, SvdFactors
+from ctfidf.irlba import SvdFactors
 from ctfidf.pipeline import config_from_dict, run_experiment
-from ctfidf.tree import TreeParams
 from ctfidf.weighting import Scheme, WeightingModel
 
 from conftest import merged
@@ -32,16 +31,16 @@ COUNTS = np.random.default_rng(4).integers(0, 4, size=(12, 6)) * \
 D = COUNTS.astype(np.float64)
 Y = ["a", "b"] * 6
 SVM_MODEL = svm.train_svm(D, Y, seed=1)
-TREE_MODEL = tree.train_dtree(D, Y, TreeParams(ccp_alpha=0.0))
-FACTORS = irlba.irlba(D, IrlbaConfig(k=2, tol=1e-10, seed=0))
+TREE_MODEL = tree.train_dtree(D, Y, ccp_alpha=0.0)
+FACTORS = irlba.irlba(D, 2, tol=1e-10, seed=0)
 WEIGHTS = WeightingModel(Scheme.CTF_IDF, np.linspace(0.5, 2.0, 6), 12)
 
 ENTRIES = {
     "train_svm": lambda X: svm.train_svm(X, Y, seed=1),
     "decision_scores": lambda X: svm.decision_scores(SVM_MODEL, X),
-    "train_dtree": lambda X: tree.train_dtree(X, Y, TreeParams(ccp_alpha=0.0)),
+    "train_dtree": lambda X: tree.train_dtree(X, Y, ccp_alpha=0.0),
     "predict_dtree": lambda X: tree.predict_dtree(TREE_MODEL, X),
-    "irlba": lambda X: irlba.irlba(X, IrlbaConfig(k=2, tol=1e-10, seed=0)),
+    "irlba": lambda X: irlba.irlba(X, 2, tol=1e-10, seed=0),
     "project": lambda X: irlba.project(X, FACTORS),
     "apply_weighting": lambda X: weighting.apply_weighting(X, WEIGHTS),
 }

@@ -13,7 +13,6 @@ from ctfidf.exceptions import (
 )
 from ctfidf.irlba import (
     _ROTATE_ROWS,
-    IrlbaConfig,
     _orthogonalize,
     irlba,
     load_factors,
@@ -32,7 +31,7 @@ def random_sparse(m, n, density, seed):
 
 
 def check_factors(A, f, tol):
-    k = f.k
+    k = f.s.shape[0]
     assert np.all(np.diff(f.s) <= 0)
     assert np.all(f.s >= 0)
     assert np.abs(f.U.T @ f.U - np.eye(k)).max() <= 1e-8
@@ -75,19 +74,19 @@ class TestSpmv:
 class TestIrlba:
     def test_identity_all_ones(self):
         A = sp.identity(5, format="csr")
-        f = irlba(A, IrlbaConfig(k=2, work_size=5, tol=1e-10, seed=3))
+        f = irlba(A, 2, tol=1e-10, seed=3)
         assert np.abs(f.s - 1.0).max() <= 1e-10
         check_factors(A, f, 1e-10)
 
     def test_known_diagonal_spectrum(self):
         A = sp.csr_matrix(np.diag([3.0, 2.0, 1.0]))
-        f = irlba(A, IrlbaConfig(k=2, work_size=3, tol=1e-10, seed=0))
+        f = irlba(A, 2, tol=1e-10, seed=0)
         assert np.abs(f.s - [3.0, 2.0]).max() <= 1e-9
         check_factors(A, f, 1e-10)
 
     def test_random_sparse_vs_dense_oracle(self):
         A = random_sparse(200, 150, 0.02, seed=11)
-        f = irlba(A, IrlbaConfig(k=10, tol=1e-8, seed=1))
+        f = irlba(A, 10, tol=1e-8, seed=1)
         dense = np.linalg.svd(A.toarray(), compute_uv=False)[:10]
         rel = np.abs(f.s - dense) / dense
         assert rel.max() <= 1e-6
@@ -95,16 +94,15 @@ class TestIrlba:
 
     def test_wide_matrix(self):
         A = random_sparse(60, 180, 0.05, seed=12)
-        f = irlba(A, IrlbaConfig(k=7, tol=1e-8, seed=2))
+        f = irlba(A, 7, tol=1e-8, seed=2)
         dense = np.linalg.svd(A.toarray(), compute_uv=False)[:7]
         assert (np.abs(f.s - dense) / dense).max() <= 1e-6
         check_factors(A, f, 1e-8)
 
     def test_determinism(self):
         A = random_sparse(80, 50, 0.1, seed=13)
-        cfg = IrlbaConfig(k=5, tol=1e-8, seed=21)
-        f1 = irlba(A, cfg)
-        f2 = irlba(A, cfg)
+        f1 = irlba(A, 5, tol=1e-8, seed=21)
+        f2 = irlba(A, 5, tol=1e-8, seed=21)
         assert np.array_equal(f1.s, f2.s)
         assert np.array_equal(f1.U, f2.U)
         assert np.array_equal(f1.V, f2.V)
@@ -112,9 +110,8 @@ class TestIrlba:
 
     def test_scale_equivariance(self):
         A = random_sparse(50, 40, 0.15, seed=14)
-        cfg = IrlbaConfig(k=4, tol=1e-9, seed=5)
-        f1 = irlba(A, cfg)
-        f2 = irlba(A * 2.0, cfg)
+        f1 = irlba(A, 4, tol=1e-9, seed=5)
+        f2 = irlba(A * 2.0, 4, tol=1e-9, seed=5)
         assert np.allclose(f2.s, 2.0 * f1.s, rtol=1e-10)
         assert np.allclose(np.abs(f2.V.T @ f1.V), np.eye(4), atol=1e-6)
 
@@ -129,7 +126,7 @@ class TestIrlba:
             L = rng.standard_normal((m, rank))
             R = rng.standard_normal((rank, n))
             A = sp.csr_matrix(L @ R)
-            f = irlba(A, IrlbaConfig(k=k, tol=1e-8, seed=seed))
+            f = irlba(A, k, tol=1e-8, seed=seed)
             dense = np.linalg.svd(A.toarray(), compute_uv=False)
             assert np.abs(f.s[:rank] - dense[:rank]).max() <= 1e-6 * dense[0]
             assert f.s[rank] <= 1e-8 * dense[0]
@@ -157,8 +154,7 @@ class TestIrlba:
         L = np.linalg.qr(rng.standard_normal((m, rank)))[0]
         R = np.linalg.qr(rng.standard_normal((n, rank)))[0]
         A = sp.csr_matrix((L * s) @ R.T)
-        f = irlba(A, IrlbaConfig(k=k, tol=1e-8,
-                                 seed=data.draw(st.integers(0, 2**16))))
+        f = irlba(A, k, tol=1e-8, seed=data.draw(st.integers(0, 2**16)))
         dense = np.linalg.svd(A.toarray(), compute_uv=False)[:k]
         assert np.abs(f.s - dense).max() <= 1e-6 * dense[0]
         check_factors(A, f, 1e-8)
@@ -173,20 +169,19 @@ class TestIrlba:
             L = np.linalg.qr(rng.standard_normal((m, r)))[0]
             R = np.linalg.qr(rng.standard_normal((n, r)))[0]
             A = sp.csr_matrix((L * np.logspace(0, -12, r)) @ R.T)
-            f = irlba(A, IrlbaConfig(k=r - 1, tol=1e-8, seed=1))
+            f = irlba(A, r - 1, tol=1e-8, seed=1)
             check_factors(A, f, 1e-8)
 
     def test_residual_is_the_worst_ritz_residual(self):
         for m, n in ((120, 80), (80, 120)):
             A = random_sparse(m, n, 0.05, seed=25)
-            f = irlba(A, IrlbaConfig(k=6, tol=1e-6, seed=4))
+            f = irlba(A, 6, tol=1e-6, seed=4)
             r1 = np.linalg.norm(A @ f.V - f.U * f.s, axis=0).max()
             r2 = np.linalg.norm(A.T @ f.U - f.V * f.s, axis=0).max()
             assert 0 < f.residual <= 1e-6
             assert abs(max(r1, r2) / f.s[0] - f.residual) <= 1e-12
             with pytest.raises(NoConvergenceError) as err:
-                irlba(A, IrlbaConfig(k=6, work_size=8, tol=1e-14,
-                                     max_restarts=0, seed=4))
+                irlba(A, 6, tol=1e-14, max_restarts=0, seed=4)
             assert err.value.best.residual == err.value.worst_residual
 
     def test_rotation_across_row_blocks_vs_dense_oracle(self):
@@ -195,7 +190,7 @@ class TestIrlba:
         for m, n in ((3 * _ROTATE_ROWS + 77, _ROTATE_ROWS + 40),
                      (_ROTATE_ROWS + 40, 3 * _ROTATE_ROWS + 77)):
             A = random_sparse(m, n, 0.02, seed=18)
-            f = irlba(A, IrlbaConfig(k=12, tol=1e-8, seed=4))
+            f = irlba(A, 12, tol=1e-8, seed=4)
             assert f.restarts >= 2
             dense = np.linalg.svd(A.toarray(), compute_uv=False)[:12]
             assert (np.abs(f.s - dense) / dense).max() <= 1e-6
@@ -208,11 +203,10 @@ class TestIrlba:
         final factors as whole products beside both bases exceeds it."""
         m, n, k = 3000, 2000, 30
         A = random_sparse(m, n, 0.01, seed=1)
-        cfg = IrlbaConfig(k=k, tol=1e-8, seed=0)
-        work = cfg.resolve_work(m, n)
+        work = min(k + max(20, k // 2), m, n)  # irlba's basis size
         tracemalloc.start()
         try:
-            f = irlba(A, cfg)
+            f = irlba(A, k, tol=1e-8, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -224,7 +218,7 @@ class TestIrlba:
 
     def test_zero_matrix(self):
         A = sp.csr_matrix((20, 15))
-        f = irlba(A, IrlbaConfig(k=3, tol=1e-8, seed=7))
+        f = irlba(A, 3, tol=1e-8, seed=7)
         assert (f.s == 0).all()
         assert np.abs(f.U.T @ f.U - np.eye(3)).max() <= 1e-8
         assert np.abs(f.V.T @ f.V - np.eye(3)).max() <= 1e-8
@@ -233,8 +227,7 @@ class TestIrlba:
         for m, n in ((100, 90), (60, 150)):
             A = random_sparse(m, n, 0.05, seed=16)
             with pytest.raises(NoConvergenceError) as err:
-                irlba(A, IrlbaConfig(k=10, work_size=12, tol=1e-14,
-                                     max_restarts=0, seed=8))
+                irlba(A, 10, tol=1e-14, max_restarts=0, seed=8)
             best = err.value.best
             assert best is not None
             assert best.s.shape == (10,)
@@ -244,16 +237,11 @@ class TestIrlba:
 
     def test_config_validation(self):
         A = random_sparse(30, 20, 0.2, seed=17)
-        with pytest.raises(ConfigError):
-            irlba(A, IrlbaConfig(k=0))
-        with pytest.raises(ConfigError):
-            irlba(A, IrlbaConfig(k=20))
-        with pytest.raises(ConfigError):
-            irlba(A, IrlbaConfig(k=5, work_size=4))
-        with pytest.raises(ConfigError):
-            irlba(A, IrlbaConfig(k=5, work_size=25))
-        with pytest.raises(ConfigError):
-            irlba(A, IrlbaConfig(k=5, tol=-1.0))
+        for k, tol, field in ((0, 1e-5, "k"), (20, 1e-5, "k"),
+                              (5, -1.0, "tol"), (5, 0.0, "tol")):
+            with pytest.raises(ConfigError) as err:
+                irlba(A, k, tol=tol)
+            assert err.value.field == field
 
 
 class TestOrthogonalize:
@@ -279,7 +267,7 @@ class TestOrthogonalize:
 class TestProject:
     def test_training_projection_equals_us(self):
         A = random_sparse(60, 45, 0.1, seed=18)
-        f = irlba(A, IrlbaConfig(k=6, tol=1e-9, seed=9))
+        f = irlba(A, 6, tol=1e-9, seed=9)
         Z = project(A, f)
         assert np.abs(Z - f.U * f.s).max() <= 1e-9 * f.s[0]
 
@@ -287,14 +275,14 @@ class TestProject:
         A = random_sparse(10, 8, 0.4, seed=19).tolil()
         A[3, :] = 0
         A = A.tocsr()
-        f = irlba(A, IrlbaConfig(k=2, tol=1e-8, seed=10))
+        f = irlba(A, 2, tol=1e-8, seed=10)
         Z = project(A, f)
         assert np.abs(Z[3]).max() == 0.0
 
     def test_near_full_rank_reconstruction(self):
         A = random_sparse(10, 9, 0.5, seed=20)
         k = 8  # min(m, n) - 1
-        f = irlba(A, IrlbaConfig(k=k, work_size=9, tol=1e-10, seed=11))
+        f = irlba(A, k, tol=1e-10, seed=11)
         Z = project(A, f)
         recon = Z @ f.V.T
         dense_s = np.linalg.svd(A.toarray(), compute_uv=False)
@@ -304,22 +292,25 @@ class TestProject:
 
     def test_dimension_mismatch(self):
         A = random_sparse(30, 20, 0.3, seed=22)
-        f = irlba(A, IrlbaConfig(k=4, tol=1e-8, seed=13))
+        f = irlba(A, 4, tol=1e-8, seed=13)
         with pytest.raises(DimensionMismatchError):
             project(sp.csr_matrix((5, 21)), f)
 
 
 def test_save_load_roundtrip(tmp_path):
     A = random_sparse(25, 18, 0.3, seed=23)
-    f = irlba(A, IrlbaConfig(k=3, tol=1e-8, seed=14))
+    f = irlba(A, 3, tol=1e-8, seed=14)
     path = tmp_path / "factors.bin"
     save_factors(str(path), f)
+    # only what projecting and the report read: no U, and no settings,
+    # which report.json records
+    with np.load(path) as z:
+        assert sorted(z.files) == ["V", "residual", "restarts", "s"]
     g = load_factors(str(path))
     assert g.U is None
     assert np.array_equal(g.s, f.s)
     assert np.array_equal(g.V, f.V)
-    assert ((g.k, g.tol, g.restarts, g.seed, g.residual)
-            == (f.k, f.tol, f.restarts, f.seed, f.residual))
+    assert (g.restarts, g.residual) == (f.restarts, f.residual)
 
 
 def test_oracle_sweep_with_subspace_angles():
@@ -331,7 +322,7 @@ def test_oracle_sweep_with_subspace_angles():
         density = float(rng.uniform(0.02, 0.2))
         k = int(rng.integers(1, 12))
         A = random_sparse(m, n, density, seed=1000 + trial)
-        f = irlba(A, IrlbaConfig(k=k, tol=1e-8, seed=trial))
+        f = irlba(A, k, tol=1e-8, seed=trial)
         U_d, s_d, Vt_d = np.linalg.svd(A.toarray())
         rel = np.abs(f.s - s_d[:k]) / s_d[:k]
         assert rel.max() <= 1e-6, f"trial {trial}: rel {rel.max():.2e}"

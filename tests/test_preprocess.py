@@ -72,17 +72,15 @@ class TestStopwords:
 
 class TestPreprocessDoc:
     def test_spec_composition(self):
-        [doc] = preprocess_corpus(["You have WON a guaranteed prize"],
-                                  PreprocessConfig())
+        [doc] = preprocess_corpus(["You have WON a guaranteed prize"])
         assert list(doc.stems) == ["won", "guarante", "prize"]
 
     def test_all_stopwords_becomes_empty(self):
-        [doc] = preprocess_corpus(["you are the... the the"],
-                                  PreprocessConfig())
+        [doc] = preprocess_corpus(["you are the... the the"])
         assert doc.stems == ()
 
     def test_single_stem_fixed_point(self):
-        [doc] = preprocess_corpus(["prize"], PreprocessConfig())
+        [doc] = preprocess_corpus(["prize"])
         assert list(doc.stems) == ["prize"]
 
     def test_no_stem_is_a_stopword(self):

@@ -21,7 +21,6 @@ from ctfidf.exceptions import (
 from ctfidf.tree import (
     CCP_ALPHA_GRID,
     DecisionTreeModel,
-    TreeParams,
     feature_importance,
     predict_dtree,
     train_dtree,
@@ -69,7 +68,7 @@ class TestTraining:
 
     def test_class_count_conservation(self):
         X, y = noisy_data()
-        model = train_dtree(X, y, TreeParams(ccp_alpha=0.0), seed=1)
+        model = train_dtree(X, y, ccp_alpha=0.0, seed=1)
         for node in model.nodes:
             if node.is_leaf:
                 continue
@@ -82,7 +81,7 @@ class TestTraining:
 
     def test_gini_range_and_strict_decrease(self):
         X, y = noisy_data(seed=2)
-        model = train_dtree(X, y, TreeParams(ccp_alpha=0.0), seed=1)
+        model = train_dtree(X, y, ccp_alpha=0.0, seed=1)
         for node in model.nodes:
             assert 0.0 <= node.impurity <= 0.5
             if node.is_leaf:
@@ -96,7 +95,7 @@ class TestTraining:
 
     def test_max_depth_respected(self):
         X, y = noisy_data(seed=3)
-        model = train_dtree(X, y, TreeParams(max_depth=2, ccp_alpha=0.0),
+        model = train_dtree(X, y, max_depth=2, ccp_alpha=0.0,
                             seed=1)
 
         def depth(i, d=0):
@@ -112,8 +111,8 @@ class TestTraining:
         Xs = sp.random(80, 30, density=0.25,
                        random_state=np.random.RandomState(7), format="csr")
         y = ["p" if v else "q" for v in rng.integers(0, 2, 80)]
-        dense = train_dtree(Xs.toarray(), y, TreeParams(ccp_alpha=0.0), seed=0)
-        sparse = train_dtree(Xs, y, TreeParams(ccp_alpha=0.0), seed=0)
+        dense = train_dtree(Xs.toarray(), y, ccp_alpha=0.0, seed=0)
+        sparse = train_dtree(Xs, y, ccp_alpha=0.0, seed=0)
         assert len(dense.nodes) == len(sparse.nodes)
         for a, b in zip(dense.nodes, sparse.nodes):
             assert a.feature == b.feature
@@ -126,7 +125,7 @@ class TestTraining:
             [-2.0, 0.0], [-1.0, 0.0], [0.0, 0.0],
             [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
         y = ["A", "A", "A", "B", "B", "B"]
-        model = train_dtree(X, y, TreeParams(ccp_alpha=0.0), seed=0)
+        model = train_dtree(X, y, ccp_alpha=0.0, seed=0)
         assert predict_dtree(model, X) == y
         assert model.nodes[0].threshold == 0.5
 
@@ -144,8 +143,8 @@ class TestTraining:
         assert X.nnz == len(rows)
         y = ["A", "A", "A", "B", "B", "B"]
         dense = train_dtree(np.array(values)[:, None], y,
-                            TreeParams(ccp_alpha=0.0))
-        sparse = train_dtree(X, y, TreeParams(ccp_alpha=0.0))
+                            ccp_alpha=0.0)
+        sparse = train_dtree(X, y, ccp_alpha=0.0)
         assert dense.nodes[0].threshold == threshold
         assert sparse.nodes[0].threshold == threshold
         assert predict_dtree(sparse, X) == y
@@ -159,14 +158,14 @@ class TestTraining:
 
     def test_heavy_pruning_yields_stump(self):
         X, y = noisy_data(seed=6)
-        model = train_dtree(X, y, TreeParams(ccp_alpha=10.0), seed=1)
+        model = train_dtree(X, y, ccp_alpha=10.0, seed=1)
         assert len(model.nodes) == 1
 
     def test_exact_tie_prunes(self):
         # root cost 0.5 + alpha against two pure leaves' 2 * alpha: equal at
         # alpha = 0.5, where the smaller subtree wins
         X, y = separable_1d()
-        model = train_dtree(X, y, TreeParams(ccp_alpha=0.5))
+        model = train_dtree(X, y, ccp_alpha=0.5)
         assert len(model.nodes) == 1
 
     def test_rounding_size_gain_kept_at_alpha_zero(self):
@@ -174,7 +173,7 @@ class TestTraining:
         # gain 1.1e-16; growth and pruning must read it alike
         X = np.array([[-2.0], [-2.0], [-2.0], [-1.0], [-1.0], [-1.0]])
         y = list("aabaab")
-        model = train_dtree(X, y, TreeParams(ccp_alpha=0.0))
+        model = train_dtree(X, y, ccp_alpha=0.0)
         assert (model.nodes[0].feature, model.nodes[0].threshold) == (0, -1.5)
         assert len(model.nodes) == 3
 
@@ -199,7 +198,7 @@ class TestTraining:
             for te in folds:
                 tr = np.setdiff1d(np.arange(len(y)), te)
                 refit = train_dtree(X[tr], [y[i] for i in tr],
-                                    TreeParams(ccp_alpha=a))
+                                    ccp_alpha=a)
                 cm = confusion([y[i] for i in te], predict_dtree(refit, X[te]),
                                positive or "spam")
                 scores.append(metrics(cm).f1)
@@ -207,9 +206,9 @@ class TestTraining:
 
     def test_nested_list_input(self):
         X, y = noisy_data(seed=14, n=40)
-        from_list = train_dtree(X.tolist(), y, TreeParams(ccp_alpha=0.0))
+        from_list = train_dtree(X.tolist(), y, ccp_alpha=0.0)
         assert from_list.to_dict() == train_dtree(
-            X, y, TreeParams(ccp_alpha=0.0)).to_dict()
+            X, y, ccp_alpha=0.0).to_dict()
         assert predict_dtree(from_list, X.tolist()) == y
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -220,7 +219,7 @@ class TestTraining:
         X = sp.csr_matrix(X) if fmt == "csr" else X
         with pytest.raises(NonFiniteValueError,
                            match="at row 2, feature 1") as err:
-            train_dtree(X, ["A", "B", "A", "B"], TreeParams(ccp_alpha=0.0))
+            train_dtree(X, ["A", "B", "A", "B"], ccp_alpha=0.0)
         assert (err.value.row, err.value.feature) == (2, 1)
 
     def test_unknown_positive_label_rejected(self):
@@ -247,7 +246,7 @@ class TestPredict:
 
     def test_training_data_through_unpruned_tree(self):
         X, y = noisy_data(seed=10)
-        model = train_dtree(X, y, TreeParams(ccp_alpha=0.0), seed=1)
+        model = train_dtree(X, y, ccp_alpha=0.0, seed=1)
         assert predict_dtree(model, X) == y
 
     @pytest.mark.parametrize("fmt", ["dense", "csr"])
@@ -263,7 +262,7 @@ class TestPredict:
     def test_non_finite_two_feature_rows_rejected(self, fmt):
         X = np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 1.5], [2.5, 0.0]])
         model = train_dtree(X, ["A", "B", "A", "B"],
-                            TreeParams(ccp_alpha=0.0))
+                            ccp_alpha=0.0)
         Xq = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
         Xq = sp.csr_matrix(Xq) if fmt == "csr" else Xq
         with pytest.raises(NonFiniteValueError,
@@ -292,7 +291,7 @@ class TestImportance:
 
     def test_sums_to_one_and_sorted(self):
         X, y = noisy_data(seed=11)
-        model = train_dtree(X, y, TreeParams(ccp_alpha=0.0), seed=1)
+        model = train_dtree(X, y, ccp_alpha=0.0, seed=1)
         names = [f"f{j}" for j in range(X.shape[1])]
         ranking = feature_importance(model, names).ranking
         values = [v for _, v in ranking]
@@ -302,7 +301,7 @@ class TestImportance:
 
     def test_informative_feature_ranks_first(self):
         X, y = noisy_data(seed=12)
-        model = train_dtree(X, y, TreeParams(ccp_alpha=0.0), seed=1)
+        model = train_dtree(X, y, ccp_alpha=0.0, seed=1)
         names = [f"f{j}" for j in range(X.shape[1])]
         assert feature_importance(model, names).ranking[0][0] == "f0"
 
@@ -359,10 +358,10 @@ def small_matrices(draw):
 def test_dense_and_csr_grow_the_exhaustive_tree(data):
     D, X, y = data
     assume(len(set(y)) >= 2)
-    dense = train_dtree(D, y, TreeParams(ccp_alpha=0.0)).to_dict()
-    assert train_dtree(X, y, TreeParams(ccp_alpha=0.0)).to_dict() == dense
+    dense = train_dtree(D, y, ccp_alpha=0.0).to_dict()
+    assert train_dtree(X, y, ccp_alpha=0.0).to_dict() == dense
     with mock.patch.object(tree, "_SCORE_CAP", 1):  # one feature per group
-        assert train_dtree(X, y, TreeParams(ccp_alpha=0.0)).to_dict() == dense
+        assert train_dtree(X, y, ccp_alpha=0.0).to_dict() == dense
     root = dense["nodes"][0]
     assert (root["featureIndex"], root["threshold"]) == exhaustive_root_split(
         D, y, root["impurity"])
@@ -399,8 +398,8 @@ def every_split_is_the_exhaustive_best(data, cap):
     D, X, y = data
     assume(len(set(y)) >= 2)
     with mock.patch.object(tree, "_SCORE_CAP", cap):
-        dense = train_dtree(D, y, TreeParams(ccp_alpha=0.0)).to_dict()
-        assert train_dtree(X, y, TreeParams(ccp_alpha=0.0)).to_dict() == dense
+        dense = train_dtree(D, y, ccp_alpha=0.0).to_dict()
+        assert train_dtree(X, y, ccp_alpha=0.0).to_dict() == dense
     nodes = dense["nodes"]
     stack = [(0, np.arange(len(y)))]
     while stack:
@@ -464,7 +463,7 @@ def test_more_labels_than_int8_holds(fmt):
     X = np.arange(260.0)[:, None]
     y = [f"c{i // 2:03d}" for i in range(260)]
     model = train_dtree(sp.csr_matrix(X) if fmt == "csr" else X, y,
-                        TreeParams(max_depth=200, ccp_alpha=0.0))
+                        max_depth=200, ccp_alpha=0.0)
     assert predict_dtree(model, X) == y
     assert len(model.nodes) == 2 * 130 - 1
     assert [n.class_counts.sum() for n in model.nodes if n.is_leaf] == \
@@ -498,7 +497,7 @@ def grown_tree(D: np.ndarray, y: list[str]) -> list[tree.TreeNode]:
     y_idx = np.array([labels.index(lab) for lab in y])
     X = as_feature_matrix(D, "csc")
     return tree._grow(X, tree._sorted_entries(X), np.arange(len(y)), y_idx,
-                      labels, TreeParams())
+                      labels, max_depth=30, min_samples_split=2)
 
 
 def exact_prune(nodes, alpha: float):
@@ -580,10 +579,10 @@ def test_early_leaf_prunes_as_full_growth_does(data, draw):
                                 st.floats(0.0, 0.5), cost,
                                 cost.map(lambda r: 2 * r)))
     expected = DecisionTreeModel(
-        tree._collapse(grown, tree._pruned(grown, alpha)),
-        TreeParams(ccp_alpha=alpha), sorted(set(y)), alpha).to_dict()
+        tree._collapse(grown, tree._pruned(grown, alpha)), sorted(set(y)),
+        max_depth=30, min_samples_split=2, chosen_alpha=alpha).to_dict()
     for M in (D, X):
-        assert train_dtree(M, y, TreeParams(ccp_alpha=alpha)).to_dict() \
+        assert train_dtree(M, y, ccp_alpha=alpha).to_dict() \
             == expected
 
 
@@ -591,6 +590,10 @@ def test_json_roundtrip():
     X, y = noisy_data(seed=13)
     model = train_dtree(X, y, cv_folds=3, seed=2)
     back = DecisionTreeModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    # a CV-selected tree reloads with the same settings it was trained with
+    assert back.to_dict() == model.to_dict()
+    assert ((back.max_depth, back.min_samples_split, back.chosen_alpha)
+            == (model.max_depth, model.min_samples_split, model.chosen_alpha))
     assert back.cv_mean_f1 == model.cv_mean_f1
     assert set(back.cv_mean_f1) == set(CCP_ALPHA_GRID)
     Xq = np.random.default_rng(1).standard_normal((50, X.shape[1]))
