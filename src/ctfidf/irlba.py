@@ -57,6 +57,15 @@ Implementation notes:
   A whole product U W would be a second basis-sized array (15 MB at the
   paper's k = 300). The returned factors are formed one basis at a time,
   and each basis is released once its product is taken.
+* Signs: a singular pair (u, v) is only defined up to (-u, -v), and the
+  sign the small SVD picks rests on arrowhead entries near zero, so a
+  last-bit change anywhere in the fit, or another start vector, can flip
+  it. Each returned column of V is therefore turned so that its
+  largest-magnitude entry is positive, and U's column with it. Entries
+  within ``_SIGN_TIE`` (relative) of the largest count as tied, and the
+  lowest index among them decides, so that rounding cannot choose
+  between near-equal entries. Negation is exact, so the residuals and
+  the projected features' inner products do not change.
 """
 
 from __future__ import annotations
@@ -86,6 +95,9 @@ _LOCAL_FLOOR = 1e-6
 _DGKS_KEEP = 1.0 / np.sqrt(2.0)
 # rows of a basis one step of a restart's in-place rotation covers
 _ROTATE_ROWS = 512
+# entries of a column of V this close (relative) to its largest magnitude
+# tie for deciding the column's sign (see the module notes)
+_SIGN_TIE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -161,6 +173,19 @@ def _rotate(Q: np.ndarray, R: np.ndarray) -> None:
     for lo in range(0, Q.shape[0], _ROTATE_ROWS):
         rows = slice(lo, lo + _ROTATE_ROWS)
         Q[rows, :c] = Q[rows, :r] @ R
+
+
+def _fix_signs(U: np.ndarray, V: np.ndarray) -> None:
+    """Negate, in place, each column pair of U and V where V's decisive
+    entry is negative: the lowest-index entry within ``_SIGN_TIE`` of the
+    column's largest magnitude. One column at a time, so no temporary is
+    as large as V."""
+    for j in range(V.shape[1]):
+        size = np.abs(V[:, j])
+        i = int(np.argmax(size >= (1.0 - _SIGN_TIE) * size.max()))
+        if V[i, j] < 0.0:
+            V[:, j] *= -1.0
+            U[:, j] *= -1.0
 
 
 def _fresh_direction(rng: np.random.Generator, basis: np.ndarray,
@@ -283,6 +308,7 @@ def irlba(A, k: int, *, tol: float = 1e-5, seed: int = 0,
             del U
             if wide:
                 Uk, Vk = Vk, Uk
+            _fix_signs(Uk, Vk)
             factors = SvdFactors(U=Uk, s=s[:k].copy(), V=Vk,
                                  restarts=restarts, residual=worst)
             if done:

@@ -244,6 +244,47 @@ class TestIrlba:
             assert err.value.field == field
 
 
+class TestSigns:
+    def test_start_seed_does_not_flip_columns(self):
+        # the small SVD's sign choice negates about half of these 20
+        # columns between the two start vectors when no rule fixes it
+        for m, n in ((400, 300), (300, 400)):
+            A = random_sparse(m, n, 0.02, seed=18)
+            a = irlba(A, 20, tol=1e-10, seed=4)
+            b = irlba(A, 20, tol=1e-10, seed=5)
+            assert np.abs(a.V - b.V).max() <= 1e-8
+            assert np.abs(a.U - b.U).max() <= 1e-8
+            check_factors(A, a, 1e-10)
+
+    def test_near_tie_goes_to_the_lowest_index(self):
+        """The leading right singular vector's two largest entries are
+        -0.5 and +0.5 (1 + 1e-9): within the tie tolerance, so entry 2,
+        not the slightly larger entry 5, decides the column's sign."""
+        m, n, r = 60, 40, 8
+        rng = np.random.default_rng(7)
+        v = rng.uniform(-0.2, 0.2, n)
+        v[2], v[5] = -0.5, 0.5 * (1 + 1e-9)
+        R = np.linalg.qr(np.column_stack(
+            [v, rng.standard_normal((n, r - 1))]))[0]
+        R[:, 0] *= np.sign(R[:, 0] @ v)  # R's first column is v / ||v||
+        L = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        A = sp.csr_matrix((L * np.linspace(10.0, 3.0, r)) @ R.T)
+        for seed in range(4):
+            f = irlba(A, 3, tol=1e-10, seed=seed)
+            assert f.V[2, 0] > 0 > f.V[5, 0]
+            assert np.abs(f.V[:, 0] + R[:, 0]).max() <= 1e-8
+            check_factors(A, f, 1e-10)
+
+    def test_unconverged_factors_follow_the_rule(self):
+        for m, n in ((100, 90), (60, 150)):
+            A = random_sparse(m, n, 0.05, seed=16)
+            with pytest.raises(NoConvergenceError) as err:
+                irlba(A, 10, tol=1e-14, max_restarts=0, seed=8)
+            V = err.value.best.V
+            decisive = np.argmax(np.abs(V) >= (1 - 1e-8) * np.abs(V).max(0), 0)
+            assert (V[decisive, np.arange(10)] > 0).all()
+
+
 class TestOrthogonalize:
     @pytest.mark.parametrize("inside, passes", ((0.9999, 2), (1e-3, 1)))
     def test_second_pass_only_when_needed(self, inside, passes):
