@@ -42,6 +42,5 @@ def test_round_passes_the_benchmark_checks(synth_tsv, tmp_path, monkeypatch,
     assert result["stream_classified"] == len(stream)
     problems, _ = check.verify(wl, synth_tsv, out_dir, [result])
     assert problems == []
-    # the benchmark streams through its own reader of the artifacts
     benchmark = worker.Artifacts(out_dir, no_span).classify(stream)
     assert load_artifacts(out_dir / "model.json").classify(stream) == benchmark
