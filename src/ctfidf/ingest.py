@@ -110,37 +110,50 @@ def load_dataset(path: str, fmt: LoadFormat = LoadFormat()) -> LabeledCorpus:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        content = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"{path} is not valid UTF-8: {exc}") from exc
-
-    need = max(fmt.label_column, fmt.text_column) + 1
-    quoting = csv.QUOTE_MINIMAL if fmt.delimiter == "," else csv.QUOTE_NONE
-    reader = csv.reader(io.StringIO(content, newline=""),
-                        delimiter=fmt.delimiter, quoting=quoting)
-
-    records: list[RawRecord] = []
-    for line_number, row in enumerate(reader, start=1):
-        if fmt.has_header and line_number == 1:
-            continue
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if len(row) < need:
-            raise MalformedRowError(
-                line_number,
-                f"line {line_number}: {len(row)} field(s), need {need}")
-        label = row[fmt.label_column].strip()
-        text = row[fmt.text_column]
-        if not label or not text.strip():
-            bad = "empty text" if label else "empty label"
-            raise MalformedRowError(line_number, f"line {line_number}: {bad}")
-        records.append(RawRecord(label, text))
+        records = _parse(raw, fmt)
+    except (UnicodeDecodeError, MalformedRowError):
+        # a file that is not UTF-8 is reported as such before any bad row,
+        # with the bad byte's offset in the whole file: decode it whole,
+        # which the parse, reading in chunks, does not
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"{path} is not valid UTF-8: {exc}") from exc
+        raise
 
     corpus = LabeledCorpus.from_records(records,
                                         hashlib.sha256(raw).hexdigest())
     logger.info("loaded %d record(s) from %s, labels: %s",
                 len(corpus), path, sorted(corpus.label_set))
     return corpus
+
+
+def _parse(raw: bytes, fmt: LoadFormat) -> list[RawRecord]:
+    """The records of a file's bytes. They are decoded as read, a chunk at a
+    time: a whole decoded copy would take up to 4 bytes a character."""
+    need = max(fmt.label_column, fmt.text_column) + 1
+    quoting = csv.QUOTE_MINIMAL if fmt.delimiter == "," else csv.QUOTE_NONE
+    records: list[RawRecord] = []
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                          newline="") as text:
+        reader = csv.reader(text, delimiter=fmt.delimiter, quoting=quoting)
+        for line_number, row in enumerate(reader, start=1):
+            if fmt.has_header and line_number == 1:
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
+            if len(row) < need:
+                raise MalformedRowError(
+                    line_number,
+                    f"line {line_number}: {len(row)} field(s), need {need}")
+            label = row[fmt.label_column].strip()
+            text_field = row[fmt.text_column]
+            if not label or not text_field.strip():
+                bad = "empty text" if label else "empty label"
+                raise MalformedRowError(line_number,
+                                        f"line {line_number}: {bad}")
+            records.append(RawRecord(label, text_field))
+    return records
 
 
 def normalize_labels(corpus: LabeledCorpus,

@@ -55,8 +55,11 @@ Implementation notes:
   row i of U W depends only on row i of U, so a block's product can
   overwrite that block, and the only extra memory is one block's product.
   A whole product U W would be a second basis-sized array (15 MB at the
-  paper's k = 300). The returned factors are formed one basis at a time,
-  and each basis is released once its product is taken.
+  paper's k = 300). The returned factors are formed the same way: each
+  basis is rotated in place onto its first k columns and then shrunk to
+  them, which hands its memory back without a copy, so no moment holds a
+  basis beside a product of it. Each factor is then made C-contiguous, one
+  at a time, from k columns only.
 * Signs: a singular pair (u, v) is only defined up to (-u, -v), and the
   sign the small SVD picks rests on arrowhead entries near zero, so a
   last-bit change anywhere in the fit, or another start vector, can flip
@@ -300,16 +303,21 @@ def irlba(A, k: int, *, tol: float = 1e-5, seed: int = 0,
 
         if done or restarts >= max_restarts:
             worst = float(residuals.max() / s[0]) if s[0] > 0 else 0.0
-            # V, the shorter basis, first: of the two orders, this one has
-            # the lower peak (U, V's product and the larger of V and U's)
-            Vk = V[:, :work] @ Yt[:k, :].T
-            del V
-            Uk = U @ W[:, :k]
-            del U
+            # each factor takes its basis's place (see the module notes):
+            # shrinking a column-major basis keeps its first k columns, and
+            # no view of a basis outlives irlba, so resizing is safe
+            _rotate(V, Yt[:k, :].T)
+            _rotate(U, W[:, :k])
+            del B, W, Yt
+            V.resize((n, k), refcheck=False)
+            U.resize((m, k), refcheck=False)
             if wide:
-                Uk, Vk = Vk, Uk
-            _fix_signs(Uk, Vk)
-            factors = SvdFactors(U=Uk, s=s[:k].copy(), V=Vk,
+                U, V = V, U
+            _fix_signs(U, V)
+            # C order, which X @ V and save_factors read without a copy
+            U = np.ascontiguousarray(U)
+            V = np.ascontiguousarray(V)
+            factors = SvdFactors(U=U, s=s[:k].copy(), V=V,
                                  restarts=restarts, residual=worst)
             if done:
                 return factors

@@ -10,22 +10,26 @@ which also gives sparse input as canonical CSC without stored zeros.
 
 Dense arrays and sparse matrices share one split kernel. Each fit sorts
 the stored values once, by (feature, value): a dense array stores every
-cell, a sparse matrix only its nonzeros. A node's entries are those
-values, their rows and their rows' classes, with the features that store
-any and where each one's values end; as in SLIQ's attribute lists
+cell, and is sorted one column at a time into float64 values and int32
+rows; a sparse matrix stores only its nonzeros. A node's entries are
+those values, their rows and their rows' classes, with the features that
+store any and where each one's values end; as in SLIQ's attribute lists
 (Mehta, Agrawal & Rissanen, 1996), each entry carries its class, so a
 split search gathers nothing. Children and cross-validation folds take
 their entries by a stable row filter, so nothing is sorted again, and
-both storage forms grow bit-identical trees. A feature whose stored
-values miss some of a node's rows gets, while the node is scored, one
-zero-valued entry for those rows; a dense feature never does. Split
-search therefore costs time in proportion to the stored values of a node
-rather than to its rows times the feature count, which is why a sparse
-term matrix is cheap to fit. Cuts that cannot win are not scored: those
-inside a run of distinct values that all belong to one class. Class
-counts are taken at the scored cuts only, by binary search among a
-class's entries where cuts are few and by a running sum where they are
-many (see :func:`_best_split`).
+both storage forms grow bit-identical trees. A split gathers its smaller
+child into new arrays and compacts the larger child into the node's own
+arrays (shrinking them when it drops many entries), so it holds one
+node's entries and the smaller child's, not a node beside both children.
+A feature whose stored values miss some of a node's rows gets, while the
+node is scored, one zero-valued entry for those rows; a dense feature
+never does. Split search therefore costs time in proportion to the
+stored values of a node rather than to its rows times the feature count,
+which is why a sparse term matrix is cheap to fit. Cuts that cannot win
+are not scored: those inside a run of distinct values that all belong to
+one class. Class counts are taken at the scored cuts only, by binary
+search among a class's entries where cuts are few and by a running sum
+where they are many (see :func:`_best_split`).
 
 The complexity parameter is selected from a fixed grid by stratified
 k-fold cross-validation maximizing mean F1. Each fold grows a single
@@ -162,52 +166,93 @@ def _sorted_entries(X):
         return (stored, X.indptr[1:][stored], X.data[order],
                 X.indices[order])
     n, n_features = X.shape
-    cols = np.ascontiguousarray(X.T)
-    # need not be stable: the order within a run of equal values moves no
-    # count, and a cut next to such a run is always scored
-    order = np.argsort(cols, axis=1)
-    return (np.arange(n_features), n * np.arange(1, n_features + 1),
-            np.take_along_axis(cols, order, 1).ravel(),
-            order.astype(np.int32).ravel())
+    val = np.empty(n * n_features)
+    row = np.empty(n * n_features, dtype=np.int32)
+    for j in range(n_features):  # one column's sort order at a time
+        col = np.ascontiguousarray(X[:, j])
+        # need not be stable: the order within a run of equal values moves
+        # no count, and a cut next to such a run is always scored
+        order = np.argsort(col)
+        at = slice(j * n, (j + 1) * n)
+        np.take(col, order, out=val[at])
+        row[at] = order
+    return (np.arange(n_features), n * np.arange(1, n_features + 1), val,
+            row)
 
 
 def _subset(entries, keep: np.ndarray):
-    """The entries where ``keep`` holds, still in (feature, value) order,
-    with every per-entry array (value, row and any class) filtered alike.
+    """The entries where ``keep`` holds, in new arrays, still in (feature,
+    value) order, with every per-entry array (value, row and any class)
+    filtered alike. A split gathers its smaller child here; the larger
+    reuses its parent's arrays (:func:`_compact`)."""
+    kept = np.count_nonzero(keep)
+    out = [np.empty(kept, dtype=a.dtype) for a in entries[2:]]
+    return (*_filter(entries, keep, out), *out)
 
-    When at most one entry in ``_FEW_DROPPED`` is dropped, as in a node
-    that sheds a few rows, a boolean mask copies the rest fastest, and
-    each feature's end moves back by the dropped entries before it.
-    Otherwise a gather by index is faster, since a mask's branches would
-    mispredict. It runs ``_TAKE_BLOCK`` entries at a time, so that the
-    kept positions, 8 bytes each, are listed for one block at a time; a
-    feature's end is the kept entries of the blocks before it plus those
-    before it in its own block.
+
+def _compact(entries, keep: np.ndarray):
+    """As :func:`_subset`, but the kept entries overwrite the front of the
+    entries' own per-entry arrays, so the entries given are spent.
+
+    When the arrays own their memory and the filter drops more than one
+    entry in ``_FEW_DROPPED``, each is then shrunk in place to the kept
+    length, which hands the rest of its memory back; no view of them may
+    be alive. Otherwise the kept entries are views of the arrays' fronts:
+    a small shrink would hand back little, and many of them, one for each
+    node of a chain that sheds a few rows per split, fragment the heap
+    so that the process keeps more memory than it frees.
+    """
+    out = entries[2:]
+    feat_end = _filter(entries, keep, out)
+    n, kept = keep.shape[0], np.count_nonzero(keep)
+    if (n - kept) * _FEW_DROPPED <= n or out[0].base is not None:
+        return (*feat_end, *(a[:kept] for a in out))
+    for a in out:
+        a.resize(kept, refcheck=False)
+    return (*feat_end, *out)
+
+
+def _filter(entries, keep: np.ndarray, out) -> tuple:
+    """Write the per-entry arrays of the entries where ``keep`` holds to
+    the front of ``out``, which may be the entries' own arrays, and return
+    the kept features and their ends.
+
+    It copies ``_TAKE_BLOCK`` entries at a time, so that no temporary is
+    larger than a block. A kept entry never moves to a later position, so
+    a block overwrites only entries already read. When at most one entry
+    in ``_FEW_DROPPED`` is dropped, as in a node that sheds a few rows, a
+    boolean mask copies a block fastest, and each feature's end moves back
+    by the dropped entries before it. Otherwise a gather by index is
+    faster, since a mask's branches would mispredict; it lists a block's
+    kept positions, 8 bytes each, and a feature's end is the kept entries
+    of the blocks before it plus those before it in its own block.
     """
     feat, end, *per_entry = entries
     n = keep.shape[0]
-    kept = np.count_nonzero(keep)
-    if (n - kept) * _FEW_DROPPED <= n:
-        end = end - np.searchsorted(np.flatnonzero(~keep), end)
-        per_entry = [a[keep] for a in per_entry]
-    else:
-        out = [np.empty(kept, dtype=a.dtype) for a in per_entry]
-        new_end = np.empty(end.shape[0], dtype=np.intp)
-        done = 0  # kept entries before the block
-        e = 0  # first end not yet moved
-        for lo in range(0, n, _TAKE_BLOCK):
-            block = slice(lo, lo + _TAKE_BLOCK)
-            at = np.flatnonzero(keep[block])
-            e_hi = np.searchsorted(end, lo + _TAKE_BLOCK, side="right")
-            new_end[e:e_hi] = done + np.searchsorted(at, end[e:e_hi] - lo)
+    few = (n - np.count_nonzero(keep)) * _FEW_DROPPED <= n
+    new_end = (end - np.searchsorted(np.flatnonzero(~keep), end) if few
+               else np.empty(end.shape[0], dtype=np.intp))
+    done = 0  # kept entries before the block
+    e = 0  # first end not yet moved
+    for lo in range(0, n, _TAKE_BLOCK):
+        block = slice(lo, lo + _TAKE_BLOCK)
+        if few:
             for a, o in zip(per_entry, out):
-                np.take(a[block], at, out=o[done:done + at.shape[0]],
-                        mode="clip")
-            done += at.shape[0]
-            e = e_hi
-        end, per_entry = new_end, out
-    stored = np.diff(end, prepend=0) > 0
-    return (feat[stored], end[stored], *per_entry)
+                part = a[block][keep[block]]
+                o[done:done + part.shape[0]] = part
+            done += part.shape[0]
+            continue
+        at = np.flatnonzero(keep[block])
+        e_hi = np.searchsorted(end, lo + _TAKE_BLOCK, side="right")
+        new_end[e:e_hi] = done + np.searchsorted(at, end[e:e_hi] - lo)
+        for a, o in zip(per_entry, out):
+            # where the two overlap, np.take reads the block first
+            np.take(a[block], at, out=o[done:done + at.shape[0]],
+                    mode="clip")
+        done += at.shape[0]
+        e = e_hi
+    stored = np.diff(new_end, prepend=0) > 0
+    return feat[stored], new_end[stored]
 
 
 def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -381,6 +426,11 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
     alive through cross-validation, where classes would raise the memory
     peak.
 
+    The entries given are spent: each split's larger child reuses its
+    parent's arrays (:func:`_compact`), the root's first. So a caller
+    passes entries it no longer needs: a fold's root is already a copy,
+    and the final fit is the presort's last use.
+
     A node whose cost ``R(t) = n_t / N * gini(t)`` is at most ``alpha / 2``
     stays a leaf without a split search, as a pure node does at any alpha.
     As a leaf it costs ``R(t) + alpha``, at most ``1.5 * alpha``; a subtree
@@ -412,6 +462,14 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
             continue
         goes_left[rows] = mask
         keep = _take(goes_left, entries[3])  # by each entry's row
+        # the smaller child is gathered, then the larger takes the node's
+        # arrays
+        if 2 * np.count_nonzero(keep) > keep.shape[0]:
+            right = _subset(entries, ~keep)
+            left = _compact(entries, keep)
+        else:
+            left = _subset(entries, keep)
+            right = _compact(entries, ~keep)
         node.feature = int(j)
         node.threshold = float(thr)
         node.gain = gain
@@ -419,10 +477,8 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
         nodes.append(_make_node(y_idx, left_rows, labels))
         node.right = len(nodes)
         nodes.append(_make_node(y_idx, right_rows, labels))
-        stack.append((node.left, left_rows, _subset(entries, keep),
-                      depth + 1))
-        stack.append((node.right, right_rows, _subset(entries, ~keep),
-                      depth + 1))
+        stack.append((node.left, left_rows, left, depth + 1))
+        stack.append((node.right, right_rows, right, depth + 1))
     return nodes
 
 

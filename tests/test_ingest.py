@@ -82,6 +82,41 @@ class TestLoadDataset:
         path = write(tmp_path, "ham\thi\n\nspam\tcash\n\n")
         assert len(load_dataset(path, LoadFormat())) == 2
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_end_lines(self, tmp_path, newline):
+        content = newline.join(["ham\thello", "spam\twin cash", "",
+                                "ham\tbye"]) + newline
+        path = write(tmp_path, content.encode(), mode="wb")
+        corpus = load_dataset(path, LoadFormat())
+        assert corpus.records == (RawRecord("ham", "hello"),
+                                  RawRecord("spam", "win cash"),
+                                  RawRecord("ham", "bye"))
+
+    def test_lone_cr_line_numbers(self, tmp_path):
+        path = write(tmp_path, b"ham\thello\ronlyonefield\rspam\tx\r",
+                     mode="wb")
+        with pytest.raises(MalformedRowError) as err:
+            load_dataset(path, LoadFormat())
+        assert err.value.line_number == 2
+
+    def test_quoted_newline_stays_in_comma_text(self, tmp_path):
+        content = ('ham,"line one\nline two"\r\n'
+                   'spam,"a\r\nb"\r\n'
+                   'ham,plain\n')
+        path = write(tmp_path, content.encode(), name="data.csv", mode="wb")
+        corpus = load_dataset(path, LoadFormat(delimiter=","))
+        assert corpus.records == (RawRecord("ham", "line one\nline two"),
+                                  RawRecord("spam", "a\r\nb"),
+                                  RawRecord("ham", "plain"))
+
+    def test_invalid_utf8_after_a_malformed_row(self, tmp_path):
+        # the whole file is checked before its rows: a bad byte anywhere
+        # is reported, with its offset in the file
+        path = write(tmp_path, b"onlyonefield\n" + b"ham\tok\n" * 5000
+                     + b"ham\t\xff\n", name="bad.tsv", mode="wb")
+        with pytest.raises(EncodingError, match="position 35017"):
+            load_dataset(path, LoadFormat())
+
 
 class TestNormalizeLabels:
     def corpus(self):

@@ -196,25 +196,30 @@ class TestIrlba:
             assert (np.abs(f.s - dense) / dense).max() <= 1e-6
             check_factors(A, f, 1e-8)
 
-    def test_peak_memory_is_the_bases_and_the_factors(self):
-        """The traced peak inside irlba stays below its two Lanczos bases
-        plus the returned factors, with slack for the small matrix B, its
-        SVD and one rotation block. Forming a restart's rotation or the
-        final factors as whole products beside both bases exceeds it."""
-        m, n, k = 3000, 2000, 30
-        A = random_sparse(m, n, 0.01, seed=1)
-        work = min(k + max(20, k // 2), m, n)  # irlba's basis size
-        tracemalloc.start()
-        try:
-            f = irlba(A, k, tol=1e-8, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert f.restarts >= 2
-        bases = m * work + n * (work + 1)  # float64 entries
-        factors = (m + n) * k
-        slack = 3 * work * work + _ROTATE_ROWS * work
-        assert peak <= 8 * (bases + factors + slack)
+    def test_peak_memory_is_the_bases(self):
+        """The traced peak inside irlba stays below its two Lanczos bases,
+        with slack for the small matrix B, its SVD and one rotation block:
+        each factor is formed inside its basis, which then shrinks to it.
+        Forming a restart's rotation or the final factors as whole
+        products beside both bases exceeds it. The factors come back
+        C-contiguous, as ``X @ V`` and ``save_factors`` read them."""
+        for m, n in ((3000, 2000), (2000, 3000)):
+            k = 30
+            A = random_sparse(m, n, 0.01, seed=1)
+            work = min(k + max(20, k // 2), m, n)  # irlba's basis size
+            tracemalloc.start()
+            try:
+                f = irlba(A, k, tol=1e-8, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert f.restarts >= 2
+            assert f.U.flags.c_contiguous and f.V.flags.c_contiguous
+            # float64 entries; a wide A runs transposed, and its copy too
+            bases = max(m, n) * work + min(m, n) * (work + 1)
+            copy = A.nnz * 12 // 8 if m < n else 0
+            slack = 3 * work * work + _ROTATE_ROWS * work
+            assert peak <= 8 * (bases + copy + slack)
 
     def test_zero_matrix(self):
         A = sp.csr_matrix((20, 15))

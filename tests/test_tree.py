@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -453,6 +454,68 @@ def test_subset_across_take_blocks_matches_one_gather(drop):
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("left_share", [0.8, 0.2, 0.995, 0.005])
+def test_compact_matches_subset_across_take_blocks(left_share):
+    # a split by row, as _grow makes it, over entries spanning several
+    # tree._TAKE_BLOCKs: the larger child, compacted into the node's own
+    # arrays, must equal what _subset gives, array for array. It is on
+    # the left at 0.8 and 0.995, on the right at 0.2 and 0.005; 0.995 and
+    # 0.005 drop few entries, which takes the boolean-mask copy and
+    # leaves views of the node's arrays, and the others shrink them.
+    rng = np.random.default_rng(12)
+    dense = rng.standard_normal((512, 300))
+    density = np.r_[np.full(8, 0.002), rng.uniform(0.0, 1.0, 292)]
+    sparse = sp.csc_matrix(rng.standard_normal((1100, 300))
+                           * (rng.random((1100, 300)) < density))
+    assert 2 * tree._TAKE_BLOCK < 512 * 300 < sparse.nnz
+    for X in (dense, sparse):
+        classes = rng.integers(-3, 4, X.shape[0]).astype(np.int8)
+        entries = tree._sorted_entries(X)
+        entries = (*entries, tree._take(classes, entries[3]))
+        goes_left = rng.random(X.shape[0]) < left_share
+        keep = tree._take(goes_left, entries[3])
+        larger = keep if 2 * np.count_nonzero(keep) > keep.shape[0] else ~keep
+        expected = tree._subset(entries, larger)
+        values = entries[2]
+        got = tree._compact(entries, larger)
+        assert np.shares_memory(got[2], values)
+        assert_same_entries(got, expected)
+        # the child splits again, in the same arrays
+        keep = tree._take(rng.random(X.shape[0]) < 0.6, got[3])
+        expected = tree._subset(got, keep)
+        again = tree._compact(got, keep)
+        assert np.shares_memory(again[2], values)
+        assert_same_entries(again, expected)
+
+
+def assert_same_entries(got, expected):
+    assert len(got) == len(expected) == 5
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+def test_fit_memory_is_one_node_and_its_smaller_child():
+    # a fit at a fixed alpha with a balanced root split. The presort
+    # becomes the root: 13 bytes an entry with its classes (float64
+    # value, int32 row, int8 class). The split adds the row filter and
+    # its negation (1 byte an entry each) and the smaller child (at most
+    # half the root), 21.5 bytes an entry in all; the larger child takes
+    # the root's arrays. Copying both children beside the root needs 28,
+    # and the presort alone used to hold 28 (a transposed copy, an 8-byte
+    # sort order, the sorted values and the int32 rows).
+    rng = np.random.default_rng(5)
+    X = rng.random((4000, 300))
+    y = ["pos" if v > 0.5 else "neg" for v in X[:, 0]]
+    tracemalloc.start()
+    try:
+        model = train_dtree(X, y, ccp_alpha=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.nodes) == 3
+    assert peak <= 23 * X.size
 
 
 @pytest.mark.parametrize("fmt", ["dense", "csr"])
