@@ -300,17 +300,26 @@ def _stage(name: str, times: dict[str, int]):
 @dataclass(frozen=True)
 class Classifier:
     """Raw text to labels through the stages fitted on the training split;
-    ``factors`` is None for a model trained on term features."""
+    ``factors`` is None for a model trained on term features.
+
+    ``stems`` is the token -> stem memo that :meth:`classify` passes to
+    :func:`preprocess_corpus`, so a token is stemmed once for the
+    classifier's lifetime. ``run_experiment`` seeds it with the training
+    split's tokens; a loaded classifier starts empty. It is never saved.
+    """
 
     vocab: dfm.Vocabulary
     weights: weighting.WeightingModel
     factors: SvdFactors | None
     model: SvmModel | DecisionTreeModel
+    stems: dict[str, str | None] = field(default_factory=dict,
+                                         compare=False, repr=False)
 
     def classify(self, texts: list[str]) -> list[str]:
         """One label per text, in order."""
         X = weighting.apply_weighting(
-            dfm.build_dfm(preprocess_corpus(texts), self.vocab), self.weights)
+            dfm.build_dfm(preprocess_corpus(texts, memo=self.stems),
+                          self.vocab), self.weights)
         if self.factors is not None:
             X = project(X, self.factors)
         if isinstance(self.model, SvmModel):
@@ -411,18 +420,21 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                               f"{config.cv_folds} folds exceed the "
                               f"{len(train)} training record(s)")
 
+    stems: dict[str, str | None] = {}  # the classifier's memo, seeded here
     with _stage("preprocess", times):
-        train_docs = preprocess_corpus(train.texts())
+        train_docs = preprocess_corpus(train.texts(), memo=stems)
 
     with _stage("dfm", times):
         vocab = dfm.build_vocabulary(train_docs,
                                      min_doc_freq=config.min_doc_freq)
         X_train_counts = dfm.build_dfm(train_docs, vocab)
+        del train_docs  # the memo outlives them; the stem tuples need not
 
     with _stage("weighting", times):
         scheme = weighting.Scheme(config.weighting_scheme)
         wmodel = weighting.fit_weighting(vocab, scheme)
         X_train = weighting.apply_weighting(X_train_counts, wmodel)
+        del X_train_counts
 
     factors: SvdFactors | None = None
     effective_k: int | None = None
@@ -444,7 +456,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     with _stage("train", times):
         y_train, y_test = train.labels(), test.labels()
         classifier = Classifier(vocab, wmodel, factors,
-                                _train_model(config, F_train, y_train))
+                                _train_model(config, F_train, y_train),
+                                stems=stems)
 
     with _stage("evaluate", times):
         y_pred = classifier.classify(test.texts())
@@ -476,7 +489,9 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """One line through the C encoder; ``python -m json.tool`` indents it."""
+    path.write_text(json.dumps(payload, separators=(",", ":")) + "\n",
+                    encoding="utf-8")
 
 
 def explain(model_path: str | Path, top_n: int) -> FeatureImportanceReport:

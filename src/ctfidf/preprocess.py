@@ -6,8 +6,10 @@ the shipped (unstemmed) word list applies directly. Every other token is
 kept: digit runs (phone numbers, prices) are predictive for spam, and so
 are short tokens like "txt". The filter and the stemmer see one token at a
 time, so :func:`preprocess_corpus` decides each distinct token once, in a
-dict that the call owns: the cache is per call, so each call pays for its
-own stemming and no process-wide state exists for a long stream to grow.
+token -> stem dict. A caller that passes its own dict keeps the stems
+between calls (a fitted classifier does, for its lifetime); without one,
+each call owns a fresh dict. No process-wide state exists for a long
+stream to grow.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from importlib import resources
 from .porter import porter_stem
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # maximal runs of Unicode letters/digits
+# on ASCII text the same runs are [0-9A-Za-z]+: lowercase the letters and
+# blank everything else, then split on the blanks
+_ASCII_TOKENS = str.maketrans({
+    c: c.lower() if c.isalnum() else " " for c in map(chr, range(128))})
 
 _STOPWORD_RESOURCE = "stopwords_english.txt"
 
@@ -67,6 +73,8 @@ class ProcessedDoc:
 
 def tokenize(text: str) -> list[str]:
     """Split into lowercase tokens: maximal runs of letters/digits."""
+    if text.isascii():
+        return text.translate(_ASCII_TOKENS).split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -74,15 +82,21 @@ def remove_stopwords(tokens: list[str], stopwords: frozenset[str]) -> list[str]:
     return [t for t in tokens if t not in stopwords]
 
 
-def preprocess_corpus(texts: list[str]) -> list[ProcessedDoc]:
+def preprocess_corpus(texts: list[str],
+                      memo: dict[str, str | None] | None = None
+                      ) -> list[ProcessedDoc]:
     """Run the full pipeline on every text with the shipped stopword list,
     preserving order.
 
-    A document that loses every token is kept as an empty doc so row
-    indices stay aligned with labels downstream.
+    ``memo`` maps each token already decided to its stem, or to None if it
+    is a stopword; the call reads it and adds the tokens it decides, so a
+    token it holds is never stemmed again. Without it the call starts from
+    an empty dict of its own. A document that loses every token is kept as
+    an empty doc so row indices stay aligned with labels downstream.
     """
     stopwords = load_stopwords()
-    memo: dict[str, str | None] = {}  # token -> its stem, None if dropped
+    if memo is None:
+        memo = {}
 
     def stem(token: str) -> str | None:
         memo[token] = None if token in stopwords else porter_stem(token)

@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from ctfidf.exceptions import (
 )
 from ctfidf.irlba import (
     _ROTATE_ROWS,
+    SvdFactors,
     _orthogonalize,
     irlba,
     load_factors,
@@ -352,6 +355,28 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(g.s, f.s)
     assert np.array_equal(g.V, f.V)
     assert (g.restarts, g.residual) == (f.restarts, f.residual)
+
+
+def test_save_writes_the_savez_bytes_without_copying_v(tmp_path):
+    """The container is byte for byte what ``np.savez`` writes, and saving
+    holds no copy of V: V is written a block of rows at a time, which a V
+    not in C order copies one block at a time."""
+    rng = np.random.default_rng(5)
+    V = rng.standard_normal((6 * 512 + 7, 40))
+    f = SvdFactors(U=None, s=np.sort(rng.random(40))[::-1].copy(), V=V,
+                   restarts=4, residual=2.5e-7)
+    expected = io.BytesIO()
+    np.savez(expected, s=f.s, V=V, restarts=4, residual=2.5e-7)
+    path = tmp_path / "factors.bin"
+    for factors in (f, dataclasses.replace(f, V=np.asfortranarray(V))):
+        tracemalloc.start()
+        try:
+            save_factors(str(path), factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == expected.getvalue()
+        assert peak < V.nbytes / 4
 
 
 def test_oracle_sweep_with_subspace_angles():

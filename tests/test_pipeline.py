@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctfidf import pipeline, preprocess
 from ctfidf.evaluation import confusion
 from ctfidf.exceptions import (
     ArtifactError,
@@ -28,6 +29,7 @@ from ctfidf.pipeline import (
     load_config,
     run_experiment,
 )
+from ctfidf.porter import porter_stem
 from ctfidf.tree import train_dtree
 
 from conftest import BAD_VALUES, merged, write_config
@@ -549,3 +551,52 @@ class TestCompare:
         assert rows[0]["error"] is None
         assert rows[1]["error"]
         assert "FAILED" in comparison_table(rows)
+
+
+def test_json_artifacts_are_one_line_of_their_payload(base_config,
+                                                      monkeypatch):
+    written = {}
+    write = pipeline._write_json
+
+    def spy(path, payload):
+        written[path.name] = payload
+        write(path, payload)
+
+    monkeypatch.setattr(pipeline, "_write_json", spy)
+    config = config_from_dict(base_config)
+    run_experiment(config)
+    assert sorted(written) == ["model.json", "report.json", "vocab.json"]
+    for name, payload in written.items():
+        text = (Path(config.output_dir) / name).read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("\n"), name
+        assert json.loads(text) == payload, name
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_each_distinct_token_is_stemmed_once_per_run(base_config, reduced,
+                                                     monkeypatch):
+    """Evaluation reads the stems training decided from the classifier's
+    memo; a loaded classifier starts with an empty one."""
+    calls = []
+
+    def counting_stem(token):
+        calls.append(token)
+        return porter_stem(token)
+
+    monkeypatch.setattr(preprocess, "porter_stem", counting_stem)
+    config = config_from_dict(merged(base_config,
+                                     {"reduce": {"enabled": reduced}}))
+    run_experiment(config)
+    stopwords = preprocess.load_stopwords()
+    texts = load_dataset(config.dataset.path, config.dataset).texts()
+    distinct = {t for text in texts for t in preprocess.tokenize(text)
+                if t not in stopwords}
+    assert sorted(calls) == sorted(distinct)
+
+    classifier = load_artifacts(Path(config.output_dir) / "model.json")
+    assert classifier.stems == {}
+    del calls[:]
+    classifier.classify(texts[:5])
+    classifier.classify(texts[:5])
+    assert sorted(calls) == sorted({t for t in classifier.stems
+                                    if t not in stopwords})

@@ -35,6 +35,17 @@ class TestTokenize:
             assert tok
             assert tok == tok.lower()
 
+    # ASCII text takes the translate-and-split path; every character class
+    # the regex treats apart is drawn: "_", digits, both cases, and the
+    # control characters \x1c-\x1f, which str.split also splits on
+    @given(st.one_of(
+        st.text(st.sampled_from("aZz09_ \t\n\x00\x1c\x1d\x1e\x1f\x7f-'!."),
+                max_size=60),
+        st.text(st.characters(max_codepoint=127), max_size=200),
+        st.text(max_size=200)))
+    def test_matches_the_regex(self, text):
+        assert tokenize(text) == preprocess._TOKEN_RE.findall(text.lower())
+
     @given(st.text(max_size=200))
     def test_tokens_are_letters_or_digits(self, text):
         for tok in tokenize(text):
@@ -117,6 +128,25 @@ class TestPreprocessDoc:
         # the cache belongs to one call: the next call stems afresh
         preprocess_corpus(texts[:1])
         assert sorted(calls[5:]) == ["big", "prize", "prizes", "win"]
+
+    def test_memo_keeps_stems_between_calls(self, monkeypatch):
+        calls = []
+
+        def counting_stem(token):
+            calls.append(token)
+            return porter_stem(token)
+
+        monkeypatch.setattr(preprocess, "porter_stem", counting_stem)
+        texts = ["Win a prize, WIN big prizes", "the prize is yours 0800"]
+        memo = {}
+        first = preprocess_corpus(texts, memo=memo)
+        assert memo == {"win": "win", "a": None, "prize": "prize",
+                        "big": "big", "prizes": "prize", "the": None,
+                        "is": None, "yours": None, "0800": "0800"}
+        del calls[:]
+        assert preprocess_corpus(texts, memo=memo) == first
+        assert calls == []
+        assert preprocess_corpus(texts) == first
 
 
 # a small vocabulary so that tokens repeat within and across texts: words
