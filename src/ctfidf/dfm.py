@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,9 +38,7 @@ def build_vocabulary(docs: list[ProcessedDoc],
 
     Duplicate stems within one document count once toward its frequency.
     """
-    df: Counter[str] = Counter()
-    for doc in docs:
-        df.update(set(doc.stems))
+    df = Counter(chain.from_iterable(set(doc.stems) for doc in docs))
     terms = sorted(t for t, c in df.items() if c >= min_doc_freq)
     if not terms:
         raise EmptyVocabularyError(
@@ -59,11 +58,12 @@ def build_dfm(docs: list[ProcessedDoc], vocab: Vocabulary) -> sp.csr_matrix:
     contribute nothing (fit-on-train, apply-on-test discipline).
     """
     t2i = vocab.term_to_index
-    cols = np.fromiter((t2i.get(s, -1) for doc in docs for s in doc.stems),
-                       dtype=np.int64)
-    known = cols >= 0
     # a row's entries end where its stems end, counting known stems only
     stems_end = np.cumsum([0] + [len(doc.stems) for doc in docs])
+    stems = chain.from_iterable(doc.stems for doc in docs)
+    cols = np.fromiter(map(t2i.get, stems, repeat(-1)), dtype=np.int64,
+                       count=stems_end[-1])
+    known = cols >= 0
     indptr = np.concatenate(([0], np.cumsum(known)))[stems_end]
     # an entry of 1 per occurrence; summing the duplicates gives the counts
     X = sp.csr_matrix((np.ones(indptr[-1]), cols[known], indptr),

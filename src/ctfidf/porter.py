@@ -13,12 +13,15 @@ Only ASCII-alphabetic tokens are stemmed, and the rules expect them in
 lowercase (an uppercase letter counts as a consonant); anything else
 (digit runs, mixed tokens, non-ASCII) passes through unchanged.
 
-Each step is a function from word to word on plain strings. Suffixes are
-tested with ``str.endswith``, and the measure m of a stem is the number
-of ``"vc"`` pairs in its consonant/vowel pattern, where ``y`` counts as a
-vowel after a consonant. Steps 2 and 3 apply the first rule whose suffix
-matches, and only if the remaining stem has m > 0; step 4 likewise stops
-at the first matching suffix.
+:func:`porter_stem` runs the steps inline on plain strings. The measure m
+of a stem is the number of ``"vc"`` pairs in its consonant/vowel pattern,
+where ``y`` counts as a vowel after a consonant. Steps 2 and 3 apply the
+first rule whose suffix matches, and only if the remaining stem has m > 0;
+step 4 likewise stops at the first matching suffix. As in the reference C,
+which switches on a letter, steps 2-4 look their candidate rules up by the
+word's last letter: each letter holds its rules in the order of the rule
+list, so the first suffix that matches is the one an in-order scan of the
+whole list would find.
 """
 
 from __future__ import annotations
@@ -48,91 +51,51 @@ def _cvc(stem: str) -> bool:
     return _pattern(stem).endswith("cvc") and stem[-1] not in "wxy"
 
 
-def _step1ab(w: str) -> str:
-    if w.endswith("s"):
-        if w.endswith(("sses", "ies")):
-            w = w[:-2]
-        elif w[-2] != "s":
-            w = w[:-1]
-    if w.endswith("eed"):
-        return w[:-1] if _m(w[:-3]) > 0 else w
-    for suffix in ("ed", "ing"):
-        if w.endswith(suffix) and "v" in _pattern(w[: -len(suffix)]):
-            w = w[: -len(suffix)]
-            if w.endswith(("at", "bl", "iz")):
-                return w + "e"
-            if len(w) > 1 and w[-1] == w[-2] and _pattern(w)[-1] == "c":
-                return w if w[-1] in "lsz" else w[:-1]
-            return w + "e" if _m(w) == 1 and _cvc(w) else w
-    return w
+# (suffix, replacement) in the order the steps try them
+_STEP2_RULES = (
+    ("ational", "ate"), ("tional", "tion"),
+    ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"),
+    ("bli", "ble"), ("alli", "al"), ("entli", "ent"), ("eli", "e"),
+    ("ousli", "ous"),
+    ("ization", "ize"), ("ation", "ate"), ("ator", "ate"),
+    ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+    ("logi", "log"),
+)
 
+_STEP3_RULES = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"),
+    ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""),
+    ("ness", ""),
+)
 
-def _step1c(w: str) -> str:
-    return w[:-1] + "i" if w.endswith("y") and "v" in _pattern(w[:-1]) else w
-
-
-_STEP2_RULES = {
-    "ational": "ate", "tional": "tion",
-    "enci": "ence", "anci": "ance",
-    "izer": "ize",
-    "bli": "ble", "alli": "al", "entli": "ent", "eli": "e", "ousli": "ous",
-    "ization": "ize", "ation": "ate", "ator": "ate",
-    "alism": "al", "iveness": "ive", "fulness": "ful", "ousness": "ous",
-    "aliti": "al", "iviti": "ive", "biliti": "ble",
-    "logi": "log",
-}
-
-_STEP3_RULES = {
-    "icate": "ic", "ative": "", "alize": "al",
-    "iciti": "ic",
-    "ical": "ic", "ful": "",
-    "ness": "",
-}
-
-_STEP4_SUFFIXES = (
+# step 4 removes its suffix outright
+_STEP4_RULES = tuple((suffix, "") for suffix in (
     "al", "ance", "ence", "er", "ic", "able", "ible",
     "ant", "ement", "ment", "ent", "ion", "ou",
     "ism", "ate", "iti", "ous", "ive", "ize",
-)
-
-_STEP2_SUFFIXES, _STEP3_SUFFIXES = tuple(_STEP2_RULES), tuple(_STEP3_RULES)
+))
 
 
-def _ending(w: str, suffixes: tuple[str, ...]) -> str:
-    """The first of ``suffixes`` that ``w`` ends with, or ``""``."""
-    if w.endswith(suffixes):  # one test turns most words away
-        for suffix in suffixes:
-            if w.endswith(suffix):
-                return suffix
-    return ""
+def _by_last_letter(rules: tuple[tuple[str, str], ...]
+                    ) -> dict[str, tuple[tuple[str, int, str], ...]]:
+    """Each last letter's ``(suffix, length, replacement)`` rules, in order.
+
+    Only rules whose suffix ends in a word's last letter can match it, so
+    scanning those in list order finds the rule a scan of all would.
+    """
+    table: dict[str, list[tuple[str, int, str]]] = {}
+    for suffix, replacement in rules:
+        table.setdefault(suffix[-1], []).append(
+            (suffix, len(suffix), replacement))
+    return {letter: tuple(entries) for letter, entries in table.items()}
 
 
-def _replace(w: str, rules: dict[str, str], suffixes: tuple[str, ...]) -> str:
-    """Steps 2 and 3: the first matching suffix is replaced if m(stem) > 0."""
-    suffix = _ending(w, suffixes)
-    if suffix and _m(w[: -len(suffix)]) > 0:
-        return w[: -len(suffix)] + rules[suffix]
-    return w
-
-
-def _step4(w: str) -> str:
-    suffix = _ending(w, _STEP4_SUFFIXES)
-    if not suffix:
-        return w
-    stem = w[: -len(suffix)]
-    if suffix == "ion" and not stem.endswith(("s", "t")):
-        return w
-    return stem if _m(stem) > 1 else w
-
-
-def _step5(w: str) -> str:
-    if w.endswith("e"):
-        a = _m(w[:-1])
-        if a > 1 or (a == 1 and not _cvc(w[:-1])):
-            w = w[:-1]
-    if w.endswith("ll") and _m(w) > 1:
-        w = w[:-1]
-    return w
+_STEP2, _STEP3, _STEP4 = map(_by_last_letter,
+                             (_STEP2_RULES, _STEP3_RULES, _STEP4_RULES))
 
 
 def porter_stem(token: str) -> str:
@@ -143,7 +106,52 @@ def porter_stem(token: str) -> str:
     """
     if len(token) <= 2 or not (token.isascii() and token.isalpha()):
         return token
-    w = _step1c(_step1ab(token))
-    w = _replace(w, _STEP2_RULES, _STEP2_SUFFIXES)
-    w = _replace(w, _STEP3_RULES, _STEP3_SUFFIXES)
-    return _step5(_step4(w))
+    w = token
+    # step 1a: plurals
+    if w[-1] == "s":
+        if w.endswith(("sses", "ies")):
+            w = w[:-2]
+        elif w[-2] != "s":
+            w = w[:-1]
+    # step 1b: -eed, -ed, -ing
+    if w.endswith("eed"):
+        if _m(w[:-3]) > 0:
+            w = w[:-1]
+    elif w.endswith(("ed", "ing")):
+        stem = w[:-2] if w[-1] == "d" else w[:-3]
+        cv = _pattern(stem)
+        if "v" in cv:
+            w = stem
+            if w.endswith(("at", "bl", "iz")):
+                w += "e"
+            elif len(w) > 1 and w[-1] == w[-2] and cv[-1] == "c":
+                if w[-1] not in "lsz":
+                    w = w[:-1]
+            elif _m(w) == 1 and _cvc(w):
+                w += "e"
+    # step 1c: y -> i after a vowel somewhere in the stem
+    if w[-1] == "y" and "v" in _pattern(w[:-1]):
+        w = w[:-1] + "i"
+    # steps 2 and 3: the first matching suffix is replaced if m(stem) > 0
+    for rules in (_STEP2, _STEP3):
+        for suffix, n, replacement in rules.get(w[-1], ()):
+            if w.endswith(suffix):
+                if _m(w[:-n]) > 0:
+                    w = w[:-n] + replacement
+                break
+    # step 4: the first matching suffix is removed if m(stem) > 1
+    for suffix, n, _ in _STEP4.get(w[-1], ()):
+        if w.endswith(suffix):
+            stem = w[:-n]
+            if _m(stem) > 1 and (suffix != "ion" or stem[-1:] in ("s", "t")):
+                w = stem
+            break
+    # step 5a: a final e goes if m > 1, or if m == 1 and not *o
+    if w[-1] == "e":
+        a = _m(w[:-1])
+        if a > 1 or (a == 1 and not _cvc(w[:-1])):
+            w = w[:-1]
+    # step 5b: -ll -> -l if m > 1
+    if w.endswith("ll") and _m(w) > 1:
+        w = w[:-1]
+    return w

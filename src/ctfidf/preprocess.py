@@ -6,18 +6,23 @@ the shipped (unstemmed) word list applies directly. Every other token is
 kept: digit runs (phone numbers, prices) are predictive for spam, and so
 are short tokens like "txt". The filter and the stemmer see one token at a
 time, so :func:`preprocess_corpus` decides each distinct token once, in a
-token -> stem dict. A caller that passes its own dict keeps the stems
-between calls (a fitted classifier does, for its lifetime); without one,
-each call owns a fresh dict. No process-wide state exists for a long
-stream to grow.
+token -> stem dict. It works through the texts a bounded chunk at a time:
+it tokenizes the chunk, decides the chunk's tokens that the dict does not
+hold yet, and maps each document's tokens through the dict. A caller that
+passes its own dict keeps the stems between calls (a fitted classifier
+does, for its lifetime); without one, each call owns a fresh dict that
+spans all of its chunks. No process-wide state exists for a long stream to
+grow: the stopword list and its hash are read once, and are fixed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 
 from .porter import porter_stem
 
@@ -28,17 +33,22 @@ _ASCII_TOKENS = str.maketrans({
     c: c.lower() if c.isalnum() else " " for c in map(chr, range(128))})
 
 _STOPWORD_RESOURCE = "stopwords_english.txt"
+# texts tokenized at once: their token lists are a call's working memory
+# (about 0.1 MB on 22k messages); 1,024 ran no faster and held 2 MB
+_CHUNK = 64
 
 
 def _stopword_bytes() -> bytes:
     return (resources.files("ctfidf") / "data" / _STOPWORD_RESOURCE).read_bytes()
 
 
+@functools.cache
 def stopword_list_hash() -> str:
     """SHA-256 of the shipped stopword file, recorded in run reports."""
     return hashlib.sha256(_stopword_bytes()).hexdigest()
 
 
+@functools.cache
 def load_stopwords() -> frozenset[str]:
     words = _stopword_bytes().decode("utf-8").split("\n")
     return frozenset(w.strip() for w in words if w.strip())
@@ -97,13 +107,16 @@ def preprocess_corpus(texts: list[str],
     stopwords = load_stopwords()
     if memo is None:
         memo = {}
-
-    def stem(token: str) -> str | None:
-        memo[token] = None if token in stopwords else porter_stem(token)
-        return memo[token]
-
+    lookup = memo.__getitem__
     docs = []
-    for text in texts:
-        stems = [memo[t] if t in memo else stem(t) for t in tokenize(text)]
-        docs.append(ProcessedDoc(tuple(s for s in stems if s is not None)))
+    for start in range(0, len(texts), _CHUNK):
+        chunk = list(map(tokenize, texts[start:start + _CHUNK]))
+        for token in dict.fromkeys(chain.from_iterable(chunk)):
+            if token not in memo:
+                memo[token] = (None if token in stopwords
+                               else porter_stem(token))
+        # stems are never empty, so filter(None, ...) drops the stopwords
+        docs.extend(ProcessedDoc(tuple(filter(None, map(lookup, tokens))))
+                    for tokens in chunk)
+        del chunk  # so that the next chunk's tokens do not join it
     return docs

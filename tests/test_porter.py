@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ctfidf import porter
 from ctfidf.porter import porter_stem
 
 PAIRS_FILE = Path(__file__).parent / "data" / "porter_pairs.tsv"
@@ -76,3 +77,42 @@ def test_idempotent_on_reference_outputs_with_documented_exceptions():
     for _, stem in load_pairs():
         expected = exceptions.get(stem, stem)
         assert porter_stem(stem) == expected
+
+
+STEPS = {2: (porter._STEP2_RULES, porter._STEP2),
+         3: (porter._STEP3_RULES, porter._STEP3),
+         4: (porter._STEP4_RULES, porter._STEP4)}
+# words that end in two or three rule suffixes at once
+NESTED = ("settlement", "agreement", "ement", "cement", "moment", "ment",
+          "parent", "relational", "rational", "ational", "conditional",
+          "tional", "sensation", "organization", "ization", "decisiveness",
+          "iveness", "ness", "usefulness", "fulness", "callousness",
+          "ousness", "radical", "ical", "formalism", "alism", "ism",
+          "frivoliti", "iviti", "abiliti", "biliti", "aliti", "iti",
+          "communicate", "icate", "ate", "relative", "ative", "ive",
+          "hopefulli", "alli", "entli", "eli", "ousli", "bli", "anci",
+          "enci", "analogi", "logi", "digitizer", "izer", "er", "collection",
+          "tion", "ion", "ent", "ant", "ance", "ence", "able", "ible")
+
+
+def first_in_list_order(rules, word):
+    return next((suffix for suffix, _ in rules if word.endswith(suffix)),
+                None)
+
+
+def first_by_last_letter(table, word):
+    return next((suffix for suffix, _, _ in table.get(word[-1], ())
+                 if word.endswith(suffix)), None)
+
+
+@pytest.mark.parametrize("step", sorted(STEPS))
+def test_last_letter_dispatch_finds_the_in_order_suffix(step):
+    rules, table = STEPS[step]
+    assert sorted(entry for entries in table.values() for entry in entries) \
+        == sorted((suffix, len(suffix), repl) for suffix, repl in rules)
+    suffixes = [suffix for rules, _ in STEPS.values() for suffix, _ in rules]
+    words = (suffixes + ["x" + suffix for suffix in suffixes] + list(NESTED)
+             + [word for word, _ in load_pairs()])
+    for word in words:
+        assert first_by_last_letter(table, word) \
+            == first_in_list_order(rules, word), word

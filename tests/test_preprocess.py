@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -147,6 +148,60 @@ class TestPreprocessDoc:
         assert preprocess_corpus(texts, memo=memo) == first
         assert calls == []
         assert preprocess_corpus(texts) == first
+
+
+def chunked_texts(n):
+    """``n`` texts whose tokens repeat across chunks and also first appear
+    in later ones: stopwords, digit runs, mixed and non-ASCII tokens."""
+    words = ["Prizes", "winning", "THE", "you", "0800", "win2day", "cafés",
+             "txt", "relational", "hopping"]
+    return [" ".join(words[(i + k) % len(words)] for k in range(i % 5))
+            + f", call {i // 40} now: word{i // 90}ing"
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("with_memo", [False, True])
+def test_chunks_decide_each_token_once(with_memo, monkeypatch):
+    calls = []
+
+    def counting_stem(token):
+        calls.append(token)
+        return porter_stem(token)
+
+    texts = chunked_texts(2 * preprocess._CHUNK + 7)
+    stopwords = load_stopwords()
+    expected = [tuple(porter_stem(t) for t in tokenize(text)
+                      if t not in stopwords) for text in texts]
+    distinct = {t for text in texts for t in tokenize(text)
+                if t not in stopwords}
+    # with a memo, the second text's tokens are decided before the call
+    memo = ({t: None if t in stopwords else porter_stem(t)
+             for t in tokenize(texts[1])} if with_memo else None)
+    held = set(memo or ())
+    monkeypatch.setattr(preprocess, "porter_stem", counting_stem)
+    docs = preprocess_corpus(texts, memo=memo)
+    assert [d.stems for d in docs] == expected
+    assert sorted(calls) == sorted(distinct - held)
+
+
+def test_working_memory_is_one_chunk_of_tokens():
+    """Above its output, a call holds one chunk's token lists at a time,
+    not the whole corpus's."""
+    texts = chunked_texts(8 * preprocess._CHUNK)
+    memo = {}
+    preprocess_corpus(texts, memo=memo)  # the memo then holds every token
+    tracemalloc.start()
+    try:
+        chunk = [tokenize(text) for text in texts[:preprocess._CHUNK]]
+        one_chunk = tracemalloc.get_traced_memory()[0]
+        del chunk
+        tracemalloc.reset_peak()
+        docs = preprocess_corpus(texts, memo=memo)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(docs) == len(texts)
+    assert peak - after <= 1.5 * one_chunk
 
 
 # a small vocabulary so that tokens repeat within and across texts: words
