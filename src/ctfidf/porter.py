@@ -51,36 +51,34 @@ def _cvc(stem: str) -> bool:
     return _pattern(stem).endswith("cvc") and stem[-1] not in "wxy"
 
 
-# (suffix, replacement) in the order the steps try them
-_STEP2_RULES = (
-    ("ational", "ate"), ("tional", "tion"),
-    ("enci", "ence"), ("anci", "ance"),
-    ("izer", "ize"),
-    ("bli", "ble"), ("alli", "al"), ("entli", "ent"), ("eli", "e"),
-    ("ousli", "ous"),
-    ("ization", "ize"), ("ation", "ate"), ("ator", "ate"),
-    ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
-    ("logi", "log"),
-)
+# suffix -> replacement, in the order the steps try them
+_STEP2_RULES = {
+    "ational": "ate", "tional": "tion",
+    "enci": "ence", "anci": "ance",
+    "izer": "ize",
+    "bli": "ble", "alli": "al", "entli": "ent", "eli": "e", "ousli": "ous",
+    "ization": "ize", "ation": "ate", "ator": "ate",
+    "alism": "al", "iveness": "ive", "fulness": "ful", "ousness": "ous",
+    "aliti": "al", "iviti": "ive", "biliti": "ble",
+    "logi": "log",
+}
 
-_STEP3_RULES = (
-    ("icate", "ic"), ("ative", ""), ("alize", "al"),
-    ("iciti", "ic"),
-    ("ical", "ic"), ("ful", ""),
-    ("ness", ""),
-)
+_STEP3_RULES = {
+    "icate": "ic", "ative": "", "alize": "al",
+    "iciti": "ic",
+    "ical": "ic", "ful": "",
+    "ness": "",
+}
 
 # step 4 removes its suffix outright
-_STEP4_RULES = tuple((suffix, "") for suffix in (
+_STEP4_RULES = dict.fromkeys((
     "al", "ance", "ence", "er", "ic", "able", "ible",
     "ant", "ement", "ment", "ent", "ion", "ou",
     "ism", "ate", "iti", "ous", "ive", "ize",
-))
+), "")
 
 
-def _by_last_letter(rules: tuple[tuple[str, str], ...]
+def _by_last_letter(rules: dict[str, str]
                     ) -> dict[str, tuple[tuple[str, int, str], ...]]:
     """Each last letter's ``(suffix, length, replacement)`` rules, in order.
 
@@ -88,7 +86,7 @@ def _by_last_letter(rules: tuple[tuple[str, str], ...]
     scanning those in list order finds the rule a scan of all would.
     """
     table: dict[str, list[tuple[str, int, str]]] = {}
-    for suffix, replacement in rules:
+    for suffix, replacement in rules.items():
         table.setdefault(suffix[-1], []).append(
             (suffix, len(suffix), replacement))
     return {letter: tuple(entries) for letter, entries in table.items()}

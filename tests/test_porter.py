@@ -96,8 +96,7 @@ NESTED = ("settlement", "agreement", "ement", "cement", "moment", "ment",
 
 
 def first_in_list_order(rules, word):
-    return next((suffix for suffix, _ in rules if word.endswith(suffix)),
-                None)
+    return next((suffix for suffix in rules if word.endswith(suffix)), None)
 
 
 def first_by_last_letter(table, word):
@@ -108,9 +107,10 @@ def first_by_last_letter(table, word):
 @pytest.mark.parametrize("step", sorted(STEPS))
 def test_last_letter_dispatch_finds_the_in_order_suffix(step):
     rules, table = STEPS[step]
-    assert sorted(entry for entries in table.values() for entry in entries) \
-        == sorted((suffix, len(suffix), repl) for suffix, repl in rules)
-    suffixes = [suffix for rules, _ in STEPS.values() for suffix, _ in rules]
+    entries = sorted(entry for group in table.values() for entry in group)
+    assert entries == sorted((suffix, len(suffix), replacement)
+                             for suffix, replacement in rules.items())
+    suffixes = [suffix for rules, _ in STEPS.values() for suffix in rules]
     words = (suffixes + ["x" + suffix for suffix in suffixes] + list(NESTED)
              + [word for word, _ in load_pairs()])
     for word in words:
