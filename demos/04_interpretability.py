@@ -40,7 +40,7 @@ with tempfile.TemporaryDirectory(prefix="ctfidf_explain_") as tmp:
 
     ranking = explain(workdir / "tree_run" / "model.json", top_n=10)
     print("stems ranked by impurity-decrease importance:")
-    for name, importance in ranking.ranking:
+    for name, importance in ranking:
         bar = "#" * int(60 * importance)
         print(f"  {name:<14}{importance:>8.4f}  {bar}")
 

@@ -100,12 +100,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    report = pipeline.explain(args.model, args.top)
-    for name, imp in report.ranking:
+    ranking = pipeline.explain(args.model, args.top)
+    for name, imp in ranking:
         print(f"{imp:8.4f}  {name}")
     if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+        doc = {"ranking": [{"featureName": name, "importance": imp}
+                           for name, imp in ranking]}
+        Path(args.json_out).write_text(json.dumps(doc, indent=2) + "\n",
+                                       encoding="utf-8")
     return EXIT_OK
 
 

@@ -14,6 +14,8 @@ from .exceptions import (
     UnknownPositiveLabelError,
 )
 
+SCHEMA_VERSION = 1
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -119,7 +121,6 @@ class EvalReport:
     ``config_snapshot`` plus the dataset fingerprint.
     """
 
-    schema_version: int
     confusion_matrix: ConfusionMatrix
     metric: MetricsFragment
     train_time_ms: int
@@ -129,7 +130,7 @@ class EvalReport:
     extras: dict
 
     def to_dict(self) -> dict:
-        d = {"schemaVersion": self.schema_version}
+        d = {"schemaVersion": SCHEMA_VERSION}
         d.update(self.metric.to_dict())
         d["confusion"] = self.confusion_matrix.to_dict()
         d["trainTimeMs"] = self.train_time_ms

@@ -106,14 +106,11 @@ class BreakdownError(CtfidfError):
 class NoConvergenceError(CtfidfError):
     """Iteration budget exhausted before reaching tolerance.
 
-    Carries the best-effort result so callers can decide whether partial
-    output is usable.
+    ``best`` carries the best-effort result, with its own diagnostics, so
+    callers can decide whether partial output is usable.
     """
 
-    def __init__(self, message: str, *, restarts: int | None = None,
-                 worst_residual: float | None = None, best=None):
-        self.restarts = restarts
-        self.worst_residual = worst_residual
+    def __init__(self, message: str, *, best=None):
         self.best = best
         super().__init__(message)
 

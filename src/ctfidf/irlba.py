@@ -263,8 +263,9 @@ def irlba(A, k: int, *, tol: float = 1e-5, seed: int = 0,
     """Compute the k largest singular triplets of A.
 
     Converged means every one of the k Ritz residuals is at most
-    ``tol * s_1``. Raises :class:`NoConvergenceError` (with the
-    best-effort factors in the payload) once ``max_restarts`` is spent.
+    ``tol * s_1``. Raises :class:`NoConvergenceError` once
+    ``max_restarts`` is spent; its ``best`` holds the best-effort factors,
+    whose ``restarts`` and ``residual`` say how far they got.
     A k outside [1, min(m, n)) or a tol that is not positive raises
     :class:`ConfigError` naming ``k`` or ``tol``. ``seed`` draws the start
     vector.
@@ -328,7 +329,7 @@ def irlba(A, k: int, *, tol: float = 1e-5, seed: int = 0,
             raise NoConvergenceError(
                 f"{k} singular triplets not converged after {restarts} "
                 f"restarts (worst relative residual {worst:.3e})",
-                restarts=restarts, worst_residual=worst, best=factors)
+                best=factors)
 
         _rotate(U, W[:, :keep])
         _rotate(V, Yt[:keep, :].T)

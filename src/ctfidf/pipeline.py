@@ -36,13 +36,10 @@ from .preprocess import PreprocessConfig, preprocess_corpus
 from .svm import SvmModel, predict_svm, train_svm
 from .tree import (
     DecisionTreeModel,
-    FeatureImportanceReport,
     feature_importance,
     predict_dtree,
     train_dtree,
 )
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -466,7 +463,6 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
     snapshot = config.resolved()
     extras = {
-        "positiveLabel": config.positive_label,
         "labelCounts": dict(sorted(corpus.label_counts().items())),
         "trainSize": len(train), "testSize": len(test),
         "vocabularySize": len(vocab),
@@ -476,8 +472,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         "machine": f"{platform.platform()} / {platform.processor() or 'unknown-cpu'}",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    report = EvalReport(schema_version=SCHEMA_VERSION, confusion_matrix=cm,
-                        metric=frag, train_time_ms=times["train"],
+    report = EvalReport(confusion_matrix=cm, metric=frag,
+                        train_time_ms=times["train"],
                         reduce_time_ms=(times["reduce"] if config.reduce.enabled
                                         else None),
                         config_snapshot=snapshot,
@@ -494,8 +490,11 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def explain(model_path: str | Path, top_n: int) -> FeatureImportanceReport:
-    """Rank the stems a tree model splits on; refuses other model kinds."""
+def explain(model_path: str | Path,
+            top_n: int) -> tuple[tuple[str, float], ...]:
+    """The ``top_n`` stems a tree model splits on, as (stem, importance)
+    pairs ranked by :func:`~ctfidf.tree.feature_importance`; refuses other
+    model kinds."""
     classifier = load_artifacts(model_path)
     if not isinstance(classifier.model, DecisionTreeModel):
         raise UnsupportedModelError(
@@ -505,9 +504,9 @@ def explain(model_path: str | Path, top_n: int) -> FeatureImportanceReport:
         raise UnsupportedModelError(
             "explain requires a tree trained on named term features; this "
             "model was trained on reduced (anonymous) components")
-    report = feature_importance(classifier.model,
-                                list(classifier.vocab.index_to_term))
-    return FeatureImportanceReport(ranking=report.ranking[:max(top_n, 0)])
+    ranking = feature_importance(classifier.model,
+                                 list(classifier.vocab.index_to_term))
+    return ranking[:max(top_n, 0)]
 
 
 def compare(config_paths: list[str]) -> list[dict]:

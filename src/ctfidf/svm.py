@@ -20,9 +20,9 @@ with G above their maximum, or alpha = C with G below their minimum (a
 maximum <= 0 or a minimum >= 0 counts as no threshold). Such an example
 has projected gradient 0. When a pass over a shrunken set reaches
 ``tol``, every example becomes active again and training goes on, so it
-stops only on a pass over all examples that reaches ``tol``. ``passes``
-counts every pass, ``active_path`` records how many examples each one
-visited, and ``max_iter`` bounds their number.
+stops only on a pass over all examples that reaches ``tol``.
+``active_path`` records how many examples each pass visited, so its
+length is the pass count ``passes``, and ``max_iter`` bounds it.
 
 Sparse rows are visited on plain Python scalars: each row is a pair of
 zero-copy ``memoryview`` slices of the CSR indices and data, ``w`` is a
@@ -62,8 +62,11 @@ class SvmModel:
     label_order: tuple[str, str]  # (negative, positive)
     objective_path: tuple[float, ...] = ()  # dual objective after each pass
     active_path: tuple[int, ...] = ()  # examples each pass computed G for
-    passes: int = 0
     pg_gap: float = 0.0  # projected-gradient spread of the last pass
+
+    @property
+    def passes(self) -> int:
+        return len(self.active_path)
 
     def to_dict(self) -> dict:
         return {"kind": "svm", "weights": self.weights.tolist(),
@@ -81,7 +84,6 @@ class SvmModel:
                    objective_path=tuple(float(v) for v in
                                         d.get("objectivePath", ())),
                    active_path=tuple(int(v) for v in d.get("activePath", ())),
-                   passes=int(d.get("passes", 0)),
                    pg_gap=float(d.get("pgGap", 0.0)))
 
 
@@ -91,9 +93,9 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
 
     X passes through :func:`~ctfidf.exceptions.as_feature_matrix`, so
     sparse rows are read from canonical float64 CSR. Raises
-    :class:`NoConvergenceError` with the best-effort model in the payload
-    if ``max_iter`` passes end before a pass over all examples reaches
-    ``tol``.
+    :class:`NoConvergenceError` if ``max_iter`` passes end before a pass
+    over all examples reaches ``tol``; its ``best`` holds the best-effort
+    model, whose ``passes`` and ``pg_gap`` say how far it got.
     """
     labels = sorted(set(y))
     if len(labels) != 2:
@@ -136,10 +138,8 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
     # shrinking thresholds, from the previous pass's projected gradients
     upper, lower = math.inf, -math.inf
     converged = False
-    passes = 0
 
     for _ in range(max_iter):
-        passes += 1
         active_path.append(len(active))
         max_pg = -math.inf
         min_pg = math.inf
@@ -201,13 +201,11 @@ def train_svm(X, y: list[str], C: float = 1.0, tol: float = 1e-4,
 
     model = SvmModel(weights=wv, bias=b, C=C, label_order=(neg, pos),
                      objective_path=tuple(objective_path),
-                     active_path=tuple(active_path), passes=passes,
-                     pg_gap=gap)
+                     active_path=tuple(active_path), pg_gap=gap)
     if not converged:
         raise NoConvergenceError(
             f"dual coordinate descent did not reach tol={tol} within "
-            f"{max_iter} passes", restarts=passes,
-            worst_residual=gap, best=model)
+            f"{max_iter} passes", best=model)
     return model
 
 

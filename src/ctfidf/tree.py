@@ -643,23 +643,14 @@ def predict_dtree(model: DecisionTreeModel, X) -> list[str]:
     return _predict_nodes(model.nodes, X, np.arange(X.shape[0]))
 
 
-@dataclass(frozen=True)
-class FeatureImportanceReport:
-    """Features that appear in splits, ranked by normalized importance."""
-
-    ranking: tuple[tuple[str, float], ...]
-
-    def to_dict(self) -> dict:
-        return {"ranking": [{"featureName": n, "importance": v}
-                            for n, v in self.ranking]}
-
-
 def feature_importance(model: DecisionTreeModel,
-                       names: list[str]) -> FeatureImportanceReport:
-    """Sample-fraction-weighted impurity decrease per split feature.
+                       names: list[str]) -> tuple[tuple[str, float], ...]:
+    """Sample-fraction-weighted impurity decrease per split feature, as
+    ``((name, importance), ...)`` for the features that appear in splits.
 
-    Importances are normalized to sum to 1; a stump yields an empty
-    ranking. Ties order lexicographically by feature name.
+    Importances are normalized to sum to 1 and ranked from the largest; a
+    stump yields an empty ranking. Ties order lexicographically by feature
+    name.
     """
     n_features = len(names)
     nodes = model.nodes
@@ -682,9 +673,8 @@ def feature_importance(model: DecisionTreeModel,
         raw[node.feature] += (nn / n_total) * decrease
     total = raw.sum()
     if total <= 0:
-        return FeatureImportanceReport(ranking=())
+        return ()
     norm = raw / total
     order = sorted(np.flatnonzero(norm > 0),
                    key=lambda j: (-norm[j], names[j]))
-    return FeatureImportanceReport(
-        ranking=tuple((names[j], float(norm[j])) for j in order))
+    return tuple((names[j], float(norm[j])) for j in order)

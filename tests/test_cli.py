@@ -48,7 +48,7 @@ class TestRun:
         assert report["config"]["split"]["seed"] == 42
         assert report["config"]["split"]["trainFraction"] == 0.6
         assert report["config"]["cvFolds"] == 2
-        assert report["positiveLabel"] == "ham"
+        assert report["config"]["positiveLabel"] == "ham"
 
     def test_seed_flag_sets_every_seed(self, base_config, tmp_path):
         base_config["model"]["hyperparameters"] = {"seed": 5}

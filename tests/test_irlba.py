@@ -185,7 +185,7 @@ class TestIrlba:
             assert abs(max(r1, r2) / f.s[0] - f.residual) <= 1e-12
             with pytest.raises(NoConvergenceError) as err:
                 irlba(A, 6, tol=1e-14, max_restarts=0, seed=4)
-            assert err.value.best.residual == err.value.worst_residual
+            assert err.value.best.residual > 1e-14
 
     def test_rotation_across_row_blocks_vs_dense_oracle(self):
         # both bases span several rotation blocks, the last one partial,
@@ -241,7 +241,7 @@ class TestIrlba:
             assert best.s.shape == (10,)
             assert best.U.shape == (m, 10)
             assert best.V.shape == (n, 10)
-            assert err.value.worst_residual > 0
+            assert best.residual > 1e-14
             # the sign rule holds for unconverged factors too
             size = np.abs(best.V)
             decisive = np.argmax(size >= (1 - 1e-8) * size.max(axis=0), axis=0)

@@ -489,16 +489,16 @@ class TestExplain:
 
     def test_term_tree_ranking(self, base_config, tmp_path):
         model_path = self.make_tree_run(base_config, tmp_path)
-        report = explain(model_path, top_n=5)
-        assert 0 < len(report.ranking) <= 5
-        names = [n for n, _ in report.ranking]
+        ranking = explain(model_path, top_n=5)
+        assert 0 < len(ranking) <= 5
+        names = [n for n, _ in ranking]
         assert all(isinstance(n, str) for n in names)
-        values = [v for _, v in report.ranking]
+        values = [v for _, v in ranking]
         assert values == sorted(values, reverse=True)
 
     def test_top_zero_empty(self, base_config, tmp_path):
         model_path = self.make_tree_run(base_config, tmp_path)
-        assert explain(model_path, top_n=0).ranking == ()
+        assert explain(model_path, top_n=0) == ()
 
     def test_svm_unsupported(self, base_config, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config))
