@@ -46,6 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--folds")
     run.add_argument("--positive-label")
     run.add_argument("--out", help="output directory")
+    run.set_defaults(func=_cmd_run)
 
     explain = sub.add_parser("explain",
                              help="rank influential stems of a tree model")
@@ -53,13 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--top", type=int, default=10)
     explain.add_argument("--json", dest="json_out",
                          help="also write the ranking to this file")
+    explain.set_defaults(func=_cmd_explain)
 
     comp = sub.add_parser("compare", help="run several configs, one table")
     comp.add_argument("configs", nargs="+", help="config JSON paths")
     comp.add_argument("--json", dest="json_out")
+    comp.set_defaults(func=_cmd_compare)
 
     stem = sub.add_parser("stem", help="show preprocessing of one string")
     stem.add_argument("text")
+    stem.set_defaults(func=_cmd_stem)
 
     svd = sub.add_parser("svd-check",
                          help="truncated SVD self-check on a MatrixMarket file")
@@ -69,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     svd.add_argument("--seed", type=int, default=0)
     svd.add_argument("--oracle-limit", type=int, default=1500,
                      help="max min(m,n) for the dense SVD cross-check")
+    svd.set_defaults(func=_cmd_svd_check)
     return parser
 
 
@@ -130,7 +135,10 @@ def _cmd_stem(args: argparse.Namespace) -> int:
 def _cmd_svd_check(args: argparse.Namespace) -> int:
     from scipy.io import mmread
 
-    A = mmread(args.matrix).tocsr()
+    try:
+        A = mmread(args.matrix).tocsr()
+    except ValueError as exc:
+        raise CtfidfError(f"{args.matrix}: {exc}") from exc
     m, n = A.shape
     k = min(args.k, min(m, n) - 1)
     factors = irlba(A, k, tol=args.tol, seed=args.seed)
@@ -156,20 +164,9 @@ def _cmd_svd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "explain":
-            return _cmd_explain(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "stem":
-            return _cmd_stem(args)
-        if args.command == "svd-check":
-            return _cmd_svd_check(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -178,7 +175,6 @@ def main(argv: list[str] | None = None) -> int:
         where = f" [stage {stage}]" if stage else ""
         print(f"error{where}: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -69,5 +69,4 @@ def build_dfm(docs: list[ProcessedDoc], vocab: Vocabulary) -> sp.csr_matrix:
     X = sp.csr_matrix((np.ones(indptr[-1]), cols[known], indptr),
                       shape=(len(docs), len(vocab)))
     X.sum_duplicates()
-    X.sort_indices()
     return X

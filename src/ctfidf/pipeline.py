@@ -345,28 +345,33 @@ _MODEL_KINDS = {"svm": SvmModel, "dtree": DecisionTreeModel}
 
 
 @contextlib.contextmanager
-def _keys_of(path: Path):
-    """Raise a key missing from the JSON read from ``path`` as an
-    :class:`ArtifactError` that names the file and the key."""
+def _reading(path: Path):
+    """Raise what reading the artifact at ``path`` finds wrong as an
+    :class:`ArtifactError` that names the file: a missing key by name, and
+    text that is not JSON or a value of the wrong type or length by the
+    reason."""
     try:
         yield
     except KeyError as exc:
         raise ArtifactError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ArtifactError(f"{path}: malformed: {exc}") from exc
 
 
 def load_artifacts(model_path: str | Path) -> Classifier:
     """The classifier saved with a ``model.json``, read back through the
     files its ``references`` name.
 
-    A key missing from ``model.json`` or ``vocab.json``, or a ``kind`` that
-    names no model, raises :class:`ArtifactError` naming the file and the
-    key or kind. A ``featureSpace`` that disagrees with
+    A ``model.json`` or ``vocab.json`` that is not JSON, lacks a key or
+    holds a value of the wrong type or length, or a ``kind`` that names no
+    model, raises :class:`ArtifactError` naming the file and the key, kind
+    or reason. A ``featureSpace`` that disagrees with
     ``references.factors`` raises :class:`DimensionMismatchError`; sizes
     are checked where they are used.
     """
     model_path = Path(model_path)
-    doc = json.loads(model_path.read_text(encoding="utf-8"))
-    with _keys_of(model_path):
+    with _reading(model_path):
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
         refs = doc["references"]
         if doc["featureSpace"] != ("reduced" if refs["factors"] else "terms"):
             raise DimensionMismatchError(
@@ -377,8 +382,8 @@ def load_artifacts(model_path: str | Path) -> Classifier:
                                 f"is not one of {sorted(_MODEL_KINDS)}")
         model = _MODEL_KINDS[doc["kind"]].from_dict(doc)
         vocab_path = model_path.parent / refs["vocab"]
-    vocab_doc = json.loads(vocab_path.read_text(encoding="utf-8"))
-    with _keys_of(vocab_path):
+    with _reading(vocab_path):
+        vocab_doc = json.loads(vocab_path.read_text(encoding="utf-8"))
         terms = tuple(vocab_doc["terms"])
         vocab = dfm.Vocabulary({t: j for j, t in enumerate(terms)}, terms,
                                np.asarray(vocab_doc["docFreq"],

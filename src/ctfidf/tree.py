@@ -266,8 +266,6 @@ def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _gini(counts: np.ndarray, n: int) -> float:
-    if n == 0:
-        return 0.0
     p = counts / n
     return float(1.0 - np.dot(p, p))
 
@@ -599,19 +597,17 @@ def train_dtree(X, y: list[str], *, max_depth: int = 30,
     if ccp_alpha is None:
         fold_f1 = {a: [] for a in CCP_ALPHA_GRID}
         folds = kfold_indices(y, cv_folds, seed)
-        all_idx = np.arange(len(y))
         for test_idx in folds:
             test_mask = np.zeros(len(y), dtype=bool)
             test_mask[test_idx] = True
-            tr = all_idx[~test_mask]
-            te = all_idx[test_mask]
+            tr = np.flatnonzero(~test_mask)
             # a stable filter keeps the root's (feature, value) order
             grown = _grow(X, _subset(entries, _take(~test_mask, entries[3])),
                           tr, y_idx, labels, max_depth, min_samples_split)
-            y_te = [y[i] for i in te]
+            y_te = [y[i] for i in test_idx]
             for a in CCP_ALPHA_GRID:
                 pruned = _collapse(grown, _pruned(grown, a))
-                pred = _predict_nodes(pruned, X, te)
+                pred = _predict_nodes(pruned, X, test_idx)
                 # with no true or predicted positive F1 is 0, as metrics()
                 # defines it, but confusion() would reject the label
                 fold_f1[a].append(metrics(confusion(y_te, pred, positive)).f1

@@ -208,8 +208,17 @@ class TestExplainCli:
         json_out = tmp_path / "rank.json"
         assert main(["explain", model, "--top", "3",
                      "--json", str(json_out)]) == 0
-        ranking = json.loads(json_out.read_text())["ranking"]
+        doc = json.loads(json_out.read_text())
+        assert list(doc) == ["ranking"]
+        ranking = doc["ranking"]
         assert 0 < len(ranking) <= 3
+        for entry in ranking:
+            assert list(entry) == ["featureName", "importance"]
+            assert isinstance(entry["featureName"], str)
+            assert type(entry["importance"]) is float
+        values = [entry["importance"] for entry in ranking]
+        assert all(v > 0 for v in values)
+        assert values == sorted(values, reverse=True)
 
     def test_svm_model_rejected(self, base_config, tmp_path, capsys):
         path = write_config(tmp_path, base_config)
@@ -253,6 +262,27 @@ class TestExplainCli:
         assert main(["explain", str(model)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {model}: {named}")
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text.replace('"labelOrder":["ham","spam"]',
+                                  '"labelOrder":["ham"]'),
+        lambda text: re.sub(r'"weights":\[[^]]*\]', '"weights":"oops"', text),
+        lambda text: text[:len(text) // 2],
+    ], ids=["one-label", "weights-text", "truncated"])
+    def test_malformed_svm_model_exit_one(self, base_config, tmp_path,
+                                          capsys, corrupt):
+        base_config["reduce"] = {"enabled": False}
+        assert main(["run", "--config",
+                     str(write_config(tmp_path, base_config))]) == 0
+        capsys.readouterr()
+        model = Path(base_config["outputDir"]) / "model.json"
+        text = model.read_text()
+        model.write_text(corrupt(text))
+        assert model.read_text() != text
+        assert main(["explain", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: malformed: ")
+        assert err.count("\n") == 1
+
 
 class TestCompareCli:
     def test_two_configs(self, base_config, tmp_path, capsys):
@@ -293,3 +323,10 @@ class TestSvdCheck:
         assert main(["svd-check", str(path), "--k", "1"]) == 1
         assert capsys.readouterr().err == \
             "error: feature matrix holds nan at row 1, feature 2\n"
+
+    def test_missing_banner_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "plain.mtx"
+        path.write_text("3 3 1\n1 1 1.0\n")
+        assert main(["svd-check", str(path), "--k", "1"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: Line 1: Not a Matrix Market file. Missing banner.\n"

@@ -465,6 +465,12 @@ TERMS_TREE = {"model": {"kind": "dtree",
                  "missing key 'terms'", id="no-terms"),
     pytest.param("vocab.json", lambda doc: doc["weighting"].pop("idf"),
                  "missing key 'idf'", id="no-idf"),
+    pytest.param("model.json", lambda doc: doc.update(nodes=3),
+                 "malformed: 'int' object is not iterable",
+                 id="nodes-number"),
+    pytest.param("vocab.json", lambda doc: doc.update(docFreq="oops"),
+                 "malformed: invalid literal for int() with base 10: 'oops'",
+                 id="doc-freq-text"),
 ])
 def test_malformed_artifacts_rejected(base_config, artifact, edit, named):
     config = config_from_dict(merged(base_config, TERMS_TREE))
