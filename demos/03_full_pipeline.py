@@ -1,7 +1,8 @@
 """End-to-end experiment on a synthetic corpus, all four variants.
 
 Mirrors the benchmark table layout: {tfidf, ctfidf} x {plain, reduced}
-for one classifier, reporting precision/recall/F1 and training time.
+for one classifier, reporting precision/recall/F1 and training time,
+then reloads one run's classifier from its artifacts to label new text.
 Swap in a real dataset path to reproduce published numbers (see README).
 """
 
@@ -14,6 +15,7 @@ from ctfidf.pipeline import (
     ExperimentConfig,
     ModelSpec,
     ReduceConfig,
+    load_artifacts,
     run_experiment,
 )
 from ctfidf.synth import generate_corpus, write_tsv
@@ -48,6 +50,13 @@ with tempfile.TemporaryDirectory(prefix="ctfidf_demo_") as tmp:
         reduce_str = f"{reduce_ms}ms" if reduce_ms is not None else "-"
         print(f"{name:<18}{m.precision:>10.4f}{m.recall:>10.4f}{m.f1:>10.4f}"
               f"{train_ms:>7}ms{reduce_str:>9}")
+
+    # a saved run labels new text from its artifacts alone
+    classifier = load_artifacts(workdir / "ctfidf_irlba" / "model.json")
+    texts = ["WINNER! Claim your free prize now", "see you at lunch tomorrow"]
+    print("\nctfidf_irlba/ reloaded from its artifacts:")
+    for text, label in zip(texts, classifier.classify(texts)):
+        print(f"  {label:<5} {text}")
 
     # the directory goes when the demo exits, so name what each run wrote
     print("\nartifacts of each run (removed when the demo exits):")

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import pipeline
 from .exceptions import ConfigError, CtfidfError
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     svd = sub.add_parser("svd-check",
                          help="truncated SVD self-check on a MatrixMarket file")
-    svd.add_argument("matrix", help="MatrixMarket coordinate file")
+    svd.add_argument("matrix", help="MatrixMarket file")
     svd.add_argument("--k", type=int, default=10)
     svd.add_argument("--tol", type=float, default=1e-8)
     svd.add_argument("--seed", type=int, default=0)
@@ -136,7 +137,9 @@ def _cmd_svd_check(args: argparse.Namespace) -> int:
     from scipy.io import mmread
 
     try:
-        A = mmread(args.matrix).tocsr()
+        A = sp.csr_matrix(mmread(args.matrix))
+        if np.iscomplexobj(A):
+            raise ValueError("complex entries; svd-check reads a real matrix")
     except ValueError as exc:
         raise CtfidfError(f"{args.matrix}: {exc}") from exc
     m, n = A.shape

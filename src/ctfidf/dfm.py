@@ -32,18 +32,13 @@ class Vocabulary:
         return len(self.index_to_term)
 
 
-def build_vocabulary(docs: list[ProcessedDoc],
-                     min_doc_freq: int = 1) -> Vocabulary:
-    """Collect distinct stems with document frequency >= ``min_doc_freq``.
-
-    Duplicate stems within one document count once toward its frequency.
-    """
+def build_vocabulary(docs: list[ProcessedDoc]) -> Vocabulary:
+    """The distinct stems in sorted order, with their document frequencies;
+    a stem repeated within one document counts once toward its frequency."""
     df = Counter(chain.from_iterable(set(doc.stems) for doc in docs))
-    terms = sorted(t for t, c in df.items() if c >= min_doc_freq)
-    if not terms:
-        raise EmptyVocabularyError(
-            f"no term has document frequency >= {min_doc_freq} "
-            f"across {len(docs)} document(s)")
+    if not df:
+        raise EmptyVocabularyError(f"no stem in {len(docs)} document(s)")
+    terms = sorted(df)
     doc_freq = np.array([df[t] for t in terms], dtype=np.int64)
     return Vocabulary(term_to_index={t: j for j, t in enumerate(terms)},
                       index_to_term=tuple(terms),

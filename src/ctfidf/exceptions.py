@@ -40,7 +40,7 @@ class DegenerateStratumError(CtfidfError):
 
 
 class EmptyVocabularyError(CtfidfError):
-    """No term survives the document-frequency threshold."""
+    """The training documents hold no stem."""
 
 
 class DimensionMismatchError(CtfidfError):
@@ -61,17 +61,16 @@ class NonFiniteValueError(CtfidfError):
                          f"feature {feature}")
 
 
-def as_feature_matrix(X, sparse_format: str = "csr", *, dense: bool = True):
+def as_feature_matrix(X, sparse_format: str = "csr"):
     """X in the form the kernels read, checked; every public entry that
     takes a feature matrix passes it through here first.
 
-    Dense input (an ndarray or nested lists) becomes a 2-d float64 array,
-    or with ``dense=False`` a CSR matrix of it. Sparse input becomes a
-    canonical float64 matrix in ``sparse_format`` ("csr" or "csc") with no
-    stored zeros. The caller's matrix is never written: it is copied only
-    when its format, dtype, duplicates or stored zeros must change, so a
-    matrix already in that form comes back as the same object. Raises
-    :class:`DimensionMismatchError` unless X is 2-d and
+    Dense input (an ndarray or nested lists) becomes a 2-d float64 array.
+    Sparse input becomes a canonical float64 matrix in ``sparse_format``
+    ("csr" or "csc") with no stored zeros. The caller's matrix is never
+    written: it is copied only when its format, dtype, duplicates or stored
+    zeros must change, so a matrix already in that form comes back as the
+    same object. Raises :class:`DimensionMismatchError` unless X is 2-d and
     :class:`NonFiniteValueError` at the first NaN or infinite value.
     """
     out = X if sp.issparse(X) else np.asarray(X, dtype=np.float64)
@@ -82,7 +81,7 @@ def as_feature_matrix(X, sparse_format: str = "csr", *, dense: bool = True):
         if not np.isfinite(out).all():
             r, j = np.argwhere(~np.isfinite(out))[0]
             raise NonFiniteValueError(int(r), int(j), float(out[r, j]))
-        return out if dense else sp.csr_matrix(out)
+        return out
     out = out.asformat(sparse_format).astype(np.float64, copy=False)
     if not out.has_canonical_format or not out.data.all():
         if out is X:

@@ -78,6 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.lib.format as npy_format
+from numpy.lib.npyio import NpzFile
 import scipy.sparse as sp
 
 from .exceptions import (
@@ -378,8 +379,10 @@ def save_factors(path: str, factors: SvdFactors) -> None:
 
 
 def load_factors(path: str) -> SvdFactors:
-    """Read factors written by :func:`save_factors`; their U is None."""
-    with np.load(path, allow_pickle=False) as z:
+    """Read factors written by :func:`save_factors`; their U is None. A
+    file cut short or not such an archive raises ``zipfile.BadZipFile``
+    (``np.load`` would go on to read it as a pickle)."""
+    with NpzFile(path) as z:
         return SvdFactors(U=None, s=z["s"], V=z["V"],
                           restarts=int(z["restarts"]),
                           residual=float(z["residual"]))

@@ -22,6 +22,7 @@ import operator
 import platform
 import time
 import typing
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,13 +88,8 @@ _REDUCE = {
 # model kind -> its hyperparameters: JSON key -> (argument of train_svm or
 # train_dtree, JSON type, bound); "seed" defaults to split.seed
 _HYPERPARAMETERS = {
-    "svm": {"C": ("C", "number", ">", 0),
-            "tol": ("tol", "number", ">", 0),
-            "maxIter": ("max_iter", "integer", ">=", 1),
-            "seed": ("seed", "integer", ">=", 0)},
-    "dtree": {"maxDepth": ("max_depth", "integer", ">=", 0),
-              "minSamplesSplit": ("min_samples_split", "integer", ">=", 2),
-              "ccpAlpha": ("ccp_alpha", "number|null", ">=", 0),
+    "svm": {"seed": ("seed", "integer", ">=", 0)},
+    "dtree": {"ccpAlpha": ("ccp_alpha", "number|null", ">=", 0),
               "seed": ("seed", "integer", ">=", 0)},
 }
 _MODEL = {"kind": ("kind", "string", "one of", tuple(_HYPERPARAMETERS)),
@@ -108,7 +104,6 @@ _EXPERIMENT = {
     "preprocess": ("preprocess", _PREPROCESS),
     "weighting": ("weighting_scheme", "string",
                   "one of", tuple(s.value for s in weighting.Scheme)),
-    "minDocFreq": ("min_doc_freq", "integer", ">=", 1),
     "reduce": ("reduce", _REDUCE),
     "model": ("model", _MODEL),
     "split": ("split", _SPLIT),
@@ -129,7 +124,6 @@ class ExperimentConfig:
     dataset: DatasetConfig
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     weighting_scheme: str = "ctfidf"  # "tfidf" | "ctfidf"
-    min_doc_freq: int = 1
     reduce: ReduceConfig = field(default_factory=ReduceConfig)
     model: ModelSpec = field(default_factory=ModelSpec)
     split: ingest.SplitSpec = field(
@@ -323,7 +317,7 @@ class Classifier:
             return predict_svm(self.model, X)
         return predict_dtree(self.model, X)
 
-    def save(self, out_dir: Path, positive_label: str) -> None:
+    def save(self, out_dir: Path) -> None:
         """Write ``vocab.json``, ``model.json`` and, with factors,
         ``factors.bin`` to ``out_dir``, for :func:`load_artifacts`."""
         _write_json(out_dir / "vocab.json", {
@@ -334,9 +328,7 @@ class Classifier:
         _write_json(out_dir / "model.json", {
             **self.model.to_dict(),
             "featureSpace": "reduced" if factors else "terms",
-            "positiveLabel": positive_label,
-            "references": {"vocab": "vocab.json", "factors": factors,
-                           "report": "report.json"}})
+            "references": {"vocab": "vocab.json", "factors": factors}})
         if factors:
             save_factors(str(out_dir / factors), self.factors)
 
@@ -348,28 +340,20 @@ _MODEL_KINDS = {"svm": SvmModel, "dtree": DecisionTreeModel}
 def _reading(path: Path):
     """Raise what reading the artifact at ``path`` finds wrong as an
     :class:`ArtifactError` that names the file: a missing key by name, and
-    text that is not JSON or a value of the wrong type or length by the
-    reason."""
+    text that is not JSON, a cut or foreign ``factors.bin``, or a value of
+    the wrong type or length by the reason."""
     try:
         yield
     except KeyError as exc:
         raise ArtifactError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, EOFError,
+            zipfile.BadZipFile) as exc:
         raise ArtifactError(f"{path}: malformed: {exc}") from exc
 
 
-def load_artifacts(model_path: str | Path) -> Classifier:
-    """The classifier saved with a ``model.json``, read back through the
-    files its ``references`` name.
-
-    A ``model.json`` or ``vocab.json`` that is not JSON, lacks a key or
-    holds a value of the wrong type or length, or a ``kind`` that names no
-    model, raises :class:`ArtifactError` naming the file and the key, kind
-    or reason. A ``featureSpace`` that disagrees with
-    ``references.factors`` raises :class:`DimensionMismatchError`; sizes
-    are checked where they are used.
-    """
-    model_path = Path(model_path)
+def _read_model(model_path: Path):
+    """The model that ``model.json`` holds, with the paths of the vocabulary
+    and (None without reduction) the factors it references."""
     with _reading(model_path):
         doc = json.loads(model_path.read_text(encoding="utf-8"))
         refs = doc["references"]
@@ -380,18 +364,38 @@ def load_artifacts(model_path: str | Path) -> Classifier:
         if doc["kind"] not in _MODEL_KINDS:
             raise ArtifactError(f"{model_path}: model kind {doc['kind']!r} "
                                 f"is not one of {sorted(_MODEL_KINDS)}")
-        model = _MODEL_KINDS[doc["kind"]].from_dict(doc)
-        vocab_path = model_path.parent / refs["vocab"]
+        return (_MODEL_KINDS[doc["kind"]].from_dict(doc),
+                model_path.parent / refs["vocab"],
+                model_path.parent / refs["factors"] if refs["factors"]
+                else None)
+
+
+def _read_vocab(vocab_path: Path):
+    """The vocabulary and the fitted weighting that ``vocab.json`` holds."""
     with _reading(vocab_path):
-        vocab_doc = json.loads(vocab_path.read_text(encoding="utf-8"))
-        terms = tuple(vocab_doc["terms"])
+        doc = json.loads(vocab_path.read_text(encoding="utf-8"))
+        terms = tuple(doc["terms"])
         vocab = dfm.Vocabulary({t: j for j, t in enumerate(terms)}, terms,
-                               np.asarray(vocab_doc["docFreq"],
-                                          dtype=np.int64),
-                               vocab_doc["nDocs"])
-        weights = weighting.WeightingModel.from_dict(vocab_doc["weighting"])
-    factors = (load_factors(str(model_path.parent / refs["factors"]))
-               if refs["factors"] else None)
+                               np.asarray(doc["docFreq"], dtype=np.int64),
+                               doc["nDocs"])
+        return vocab, weighting.WeightingModel.from_dict(doc["weighting"])
+
+
+def load_artifacts(model_path: str | Path) -> Classifier:
+    """The classifier saved with a ``model.json``, read back through the
+    files its ``references`` name.
+
+    A ``model.json`` or ``vocab.json`` that is not JSON, lacks a key or
+    holds a value of the wrong type or length, a ``kind`` that names no
+    model, or a ``factors.bin`` that is cut short or not one, raises
+    :class:`ArtifactError` naming the file and the key, kind or reason. A
+    ``featureSpace`` that disagrees with ``references.factors`` raises
+    :class:`DimensionMismatchError`; sizes are checked where they are used.
+    """
+    model, vocab_path, factors_path = _read_model(Path(model_path))
+    vocab, weights = _read_vocab(vocab_path)
+    with _reading(factors_path):
+        factors = load_factors(str(factors_path)) if factors_path else None
     return Classifier(vocab, weights, factors, model)
 
 
@@ -427,8 +431,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         train_docs = preprocess_corpus(train.texts(), memo=stems)
 
     with _stage("dfm", times):
-        vocab = dfm.build_vocabulary(train_docs,
-                                     min_doc_freq=config.min_doc_freq)
+        vocab = dfm.build_vocabulary(train_docs)
         X_train_counts = dfm.build_dfm(train_docs, vocab)
         del train_docs  # the memo outlives them; the stem tuples need not
 
@@ -485,7 +488,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
                         dataset_fingerprint=corpus.sha256, extras=extras)
 
     _write_json(out_dir / "report.json", report.to_dict())
-    classifier.save(out_dir, config.positive_label)
+    classifier.save(out_dir)
     return report
 
 
@@ -498,19 +501,19 @@ def _write_json(path: Path, payload: dict) -> None:
 def explain(model_path: str | Path,
             top_n: int) -> tuple[tuple[str, float], ...]:
     """The ``top_n`` stems a tree model splits on, as (stem, importance)
-    pairs ranked by :func:`~ctfidf.tree.feature_importance`; refuses other
-    model kinds."""
-    classifier = load_artifacts(model_path)
-    if not isinstance(classifier.model, DecisionTreeModel):
+    pairs ranked by :func:`~ctfidf.tree.feature_importance`; refuses an SVM
+    or a reduced model from ``model.json`` alone, before reading the rest."""
+    model, vocab_path, factors_path = _read_model(Path(model_path))
+    if not isinstance(model, DecisionTreeModel):
         raise UnsupportedModelError(
             "explain requires a decision tree, got a linear SVM: its "
             "weights are not per-stem split decisions")
-    if classifier.factors is not None:
+    if factors_path:
         raise UnsupportedModelError(
             "explain requires a tree trained on named term features; this "
             "model was trained on reduced (anonymous) components")
-    ranking = feature_importance(classifier.model,
-                                 list(classifier.vocab.index_to_term))
+    vocab, _ = _read_vocab(vocab_path)
+    ranking = feature_importance(model, list(vocab.index_to_term))
     return ranking[:max(top_n, 0)]
 
 

@@ -86,7 +86,6 @@ class DecisionTreeModel:
     nodes: list[TreeNode]
     label_order: list[str]
     max_depth: int
-    min_samples_split: int
     chosen_alpha: float
     cv_mean_f1: dict[float, float] = field(default_factory=dict)
 
@@ -95,7 +94,6 @@ class DecisionTreeModel:
             "kind": "dtree",
             "labelOrder": list(self.label_order),
             "params": {"maxDepth": self.max_depth,
-                       "minSamplesSplit": self.min_samples_split,
                        "ccpAlpha": self.chosen_alpha},
             "nodes": [{"featureIndex": n.feature, "threshold": n.threshold,
                        "impurity": n.impurity,
@@ -117,9 +115,7 @@ class DecisionTreeModel:
                           predicted_label=nd["predictedLabel"])
                  for nd in d["nodes"]]
         return cls(nodes=nodes, label_order=list(d["labelOrder"]),
-                   max_depth=p["maxDepth"],
-                   min_samples_split=p["minSamplesSplit"],
-                   chosen_alpha=p["ccpAlpha"],
+                   max_depth=p["maxDepth"], chosen_alpha=p["ccpAlpha"],
                    cv_mean_f1={e["ccpAlpha"]: e["meanF1"]
                                for e in d.get("cvMeanF1", [])})
 
@@ -415,7 +411,7 @@ def _with_zero_entries(v, c, local, short, total):
 
 
 def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
-          labels: list[str], max_depth: int, min_samples_split: int,
+          labels: list[str], max_depth: int,
           alpha: float = 0.0) -> list[TreeNode]:
     """Grow a tree on ``rows`` of X, whose sorted entries are ``entries``.
 
@@ -430,7 +426,8 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
     and the final fit is the presort's last use.
 
     A node whose cost ``R(t) = n_t / N * gini(t)`` is at most ``alpha / 2``
-    stays a leaf without a split search, as a pure node does at any alpha.
+    stays a leaf without a split search, as a pure node (a one-row node
+    among them) does at any alpha.
     As a leaf it costs ``R(t) + alpha``, at most ``1.5 * alpha``; a subtree
     below it of two leaves or more costs at least ``2 * alpha``. So pruning
     at ``alpha`` (:func:`_pruned`) would cut the subtree, with ``alpha / 2``
@@ -446,7 +443,6 @@ def _grow(X, entries, rows: np.ndarray, y_idx: np.ndarray,
         slot, rows, entries, depth = stack.pop()
         node = nodes[slot]
         if (depth >= max_depth
-                or rows.shape[0] < max(2, min_samples_split)
                 or rows.shape[0] / n_root * node.impurity <= alpha / 2):
             continue
         gain, j, thr = _best_split(entries,
@@ -562,7 +558,7 @@ def _predict_nodes(nodes: list[TreeNode], X, rows: np.ndarray) -> list[str]:
 
 
 def train_dtree(X, y: list[str], *, max_depth: int = 30,
-                min_samples_split: int = 2, ccp_alpha: float | None = None,
+                ccp_alpha: float | None = None,
                 cv_folds: int = 10, seed: int = 0,
                 positive_label: str | None = None) -> DecisionTreeModel:
     """Fit a CART classifier, tuning the pruning strength by CV.
@@ -603,7 +599,7 @@ def train_dtree(X, y: list[str], *, max_depth: int = 30,
             tr = np.flatnonzero(~test_mask)
             # a stable filter keeps the root's (feature, value) order
             grown = _grow(X, _subset(entries, _take(~test_mask, entries[3])),
-                          tr, y_idx, labels, max_depth, min_samples_split)
+                          tr, y_idx, labels, max_depth)
             y_te = [y[i] for i in test_idx]
             for a in CCP_ALPHA_GRID:
                 pruned = _collapse(grown, _pruned(grown, a))
@@ -619,12 +615,11 @@ def train_dtree(X, y: list[str], *, max_depth: int = 30,
         best_alpha = ccp_alpha
 
     grown = _grow(X, entries, np.arange(len(y)), y_idx, labels, max_depth,
-                  min_samples_split, best_alpha)
+                  best_alpha)
     final = _collapse(grown, _pruned(grown, best_alpha))
     return DecisionTreeModel(nodes=final, label_order=labels,
-                             max_depth=max_depth,
-                             min_samples_split=min_samples_split,
-                             chosen_alpha=best_alpha, cv_mean_f1=cv_scores)
+                             max_depth=max_depth, chosen_alpha=best_alpha,
+                             cv_mean_f1=cv_scores)
 
 
 def predict_dtree(model: DecisionTreeModel, X) -> list[str]:

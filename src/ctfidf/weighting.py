@@ -90,7 +90,7 @@ def apply_weighting(counts: sp.csr_matrix,
 
     Returns CSR with the same shape; the sparsity pattern never grows.
     """
-    counts = as_feature_matrix(counts, dense=False)
+    counts = sp.csr_matrix(as_feature_matrix(counts))
     if counts.shape[1] != model.idf.shape[0]:
         raise DimensionMismatchError(
             f"matrix has {counts.shape[1]} columns, model has "

@@ -70,7 +70,8 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 
 # (config patch, the dotted JSON key its ConfigError names): values of the
-# wrong JSON type or out of range, each rejected before the dataset is read
+# wrong JSON type or out of range, and values removed keys once took, each
+# rejected before the dataset is read
 BAD_VALUES = [
     ({"dataset": {"hasHeader": "false"}}, "dataset.hasHeader"),
     ({"dataset": {"labelMapping": {"spam": 1}}}, "dataset.labelMapping.spam"),
@@ -78,22 +79,24 @@ BAD_VALUES = [
     ({"split": {"seed": -1}}, "split.seed"),
     ({"cvFolds": 2.7}, "cvFolds"),
     ({"cvFolds": 1}, "cvFolds"),
-    ({"minDocFreq": 0}, "minDocFreq"),
+    ({"minDocFreq": 1}, "minDocFreq"),  # removed
     ({"reduce": {"k": "x"}}, "reduce.k"),
     ({"reduce": {"tol": 0}}, "reduce.tol"),
     ({"reduce": {"seed": -1}}, "reduce.seed"),
     ({"preprocess": {"stopwordHash": "0" * 64}}, "preprocess"),
-    ({"model": {"hyperparameters": {"C": "abc"}}}, "model.hyperparameters.C"),
-    ({"model": {"hyperparameters": {"C": 0}}}, "model.hyperparameters.C"),
-    ({"model": {"hyperparameters": {"tol": -1}}},
+    # the svm's C, tol and maxIter and the tree's maxDepth and
+    # minSamplesSplit are removed
+    ({"model": {"hyperparameters": {"C": 1.0}}}, "model.hyperparameters.C"),
+    ({"model": {"hyperparameters": {"C": 0.1}}}, "model.hyperparameters.C"),
+    ({"model": {"hyperparameters": {"tol": 1e-4}}},
      "model.hyperparameters.tol"),
-    ({"model": {"hyperparameters": {"maxIter": 0}}},
+    ({"model": {"hyperparameters": {"maxIter": 100}}},
      "model.hyperparameters.maxIter"),
     ({"model": {"hyperparameters": {"seed": -1}}},
      "model.hyperparameters.seed"),
-    ({"model": {"kind": "dtree", "hyperparameters": {"maxDepth": -1}}},
+    ({"model": {"kind": "dtree", "hyperparameters": {"maxDepth": 30}}},
      "model.hyperparameters.maxDepth"),
-    ({"model": {"kind": "dtree", "hyperparameters": {"minSamplesSplit": 1}}},
+    ({"model": {"kind": "dtree", "hyperparameters": {"minSamplesSplit": 2}}},
      "model.hyperparameters.minSamplesSplit"),
     ({"model": {"kind": "dtree", "hyperparameters": {"ccpAlpha": -0.1}}},
      "model.hyperparameters.ccpAlpha"),

@@ -170,13 +170,17 @@ class TestRun:
             raise AssertionError("the dataset was read")
 
         monkeypatch.setattr("ctfidf.ingest.load_dataset", no_ingest)
-        for section, key, value in (("dataset", "lenient", True),
-                                    ("reduce", "workSize", 450)):
-            cfg = merged(base_config, {section: {key: value}})
-            path = write_config(tmp_path, cfg)
+        for patch, message in (
+                ({"dataset": {"lenient": True}},
+                 "dataset.lenient: unknown configuration key"),
+                ({"reduce": {"workSize": 450}},
+                 "reduce.workSize: unknown configuration key"),
+                ({"minDocFreq": 1}, "minDocFreq: unknown configuration key"),
+                ({"model": {"hyperparameters": {"C": 1.0}}},
+                 "model.hyperparameters.C: not a svm hyperparameter")):
+            path = write_config(tmp_path, merged(base_config, patch))
             assert main(["run", "--config", str(path)]) == 2
-            assert (f"{section}.{key}: unknown configuration key"
-                    in capsys.readouterr().err)
+            assert message in capsys.readouterr().err
 
     def test_readme_lists_the_run_flags(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
@@ -331,3 +335,27 @@ class TestSvdCheck:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("header, body, code", [
+        ("array real general", "3 2\n1.0\n2.0\n3.0\n4.0\n5.0\n7.0\n", 0),
+        ("coordinate pattern general", "3 3 4\n1 1\n2 2\n3 3\n1 3\n", 0),
+        ("coordinate integer general", "3 3 4\n1 1 2\n2 2 3\n3 3 4\n1 3 1\n",
+         0),
+        ("coordinate real symmetric",
+         "3 3 4\n1 1 2.0\n2 2 3.0\n3 3 4.0\n3 1 1.0\n", 0),
+        ("coordinate complex general",
+         "3 3 3\n1 1 1.0 2.0\n2 2 3.0 0.0\n3 3 0.0 4.0\n", 1),
+        (None, "", 1),
+    ], ids=["array", "pattern", "integer", "symmetric", "complex", "empty"])
+    def test_each_field_one_line_or_pass(self, tmp_path, capsys, header,
+                                         body, code):
+        path = tmp_path / "m.mtx"
+        banner = f"%%MatrixMarket matrix {header}\n" if header else ""
+        path.write_text(banner + body)
+        assert main(["svd-check", str(path), "--k", "1"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith(f"error: {path}: ")
+            assert err.count("\n") == 1
+        else:
+            assert out.endswith("PASS\n") and err == ""

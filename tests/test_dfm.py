@@ -23,11 +23,6 @@ class TestVocabulary:
         assert dict(zip(vocab.index_to_term, vocab.doc_freq)) == {
             "a": 1, "b": 2, "c": 1}
 
-    def test_min_doc_freq_threshold(self):
-        vocab = build_vocabulary(docs_from([["a", "b"], ["b", "c"]]),
-                                 min_doc_freq=2)
-        assert vocab.index_to_term == ("b",)
-
     def test_duplicates_count_once_per_doc(self):
         vocab = build_vocabulary(docs_from([["a", "a"]]))
         assert vocab.doc_freq.tolist() == [1]
@@ -38,8 +33,6 @@ class TestVocabulary:
         assert vocab.term_to_index == {"alpha": 0, "mid": 1, "zeta": 2}
 
     def test_empty_vocabulary_error(self):
-        with pytest.raises(EmptyVocabularyError):
-            build_vocabulary(docs_from([["a"], ["b"]]), min_doc_freq=3)
         with pytest.raises(EmptyVocabularyError):
             build_vocabulary(docs_from([[], []]))
 

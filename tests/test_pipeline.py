@@ -78,7 +78,7 @@ class TestConfig:
     def test_defaults_materialized(self, base_config, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config))
         snap = cfg.resolved()
-        assert snap["minDocFreq"] == 1
+        assert "minDocFreq" not in snap
         assert snap["split"]["stratified"] is True
         assert len(snap["preprocess"]["stopwordHash"]) == 64
 
@@ -117,12 +117,22 @@ class TestConfig:
             with pytest.raises(ConfigError) as err:
                 config_from_dict(cfg)
             assert err.value.field == f"{section}.{key}"
+        # settings no run set, removed
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({**base_config, "minDocFreq": 1})
+        assert err.value.field == "minDocFreq"
+        for kind, key in (("svm", "C"), ("svm", "tol"), ("svm", "maxIter"),
+                          ("dtree", "maxDepth"), ("dtree", "minSamplesSplit")):
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(merged(base_config, {"model": {
+                    "kind": kind, "hyperparameters": {key: 2}}}))
+            assert err.value.field == f"model.hyperparameters.{key}"
 
     def test_hyperparameters_checked_against_model_kind(self, base_config):
-        for kind, good, typo in (("svm", "C", "c"),
-                                 ("dtree", "ccpAlpha", "C")):
+        for kind, good, typo in (("svm", {"seed": 5}, "c"),
+                                 ("dtree", {"ccpAlpha": 0.5}, "C")):
             base_config["model"] = {"kind": kind,
-                                    "hyperparameters": {good: 0.5}}
+                                    "hyperparameters": dict(good)}
             config_from_dict(base_config).validate()
             base_config["model"]["hyperparameters"][typo] = 10
             with pytest.raises(ConfigError) as err:
@@ -200,7 +210,7 @@ class TestConfig:
                         bad.validate()
                     assert err.value.field == f"model.hyperparameters.{key}"
                     checked += 1
-        assert checked > 150
+        assert checked > 120
 
     @pytest.mark.parametrize("reduce, field", [
         (ReduceConfig(enabled="no"), "reduce.enabled"),
@@ -272,6 +282,11 @@ class TestRunExperiment:
         out = Path(cfg.output_dir)
         for name in ("report.json", "model.json", "vocab.json", "factors.bin"):
             assert (out / name).exists(), name
+        # report.json alone holds the positive label
+        model = json.loads((out / "model.json").read_text())
+        assert "positiveLabel" not in model
+        assert model["references"] == {"vocab": "vocab.json",
+                                       "factors": "factors.bin"}
         assert 0.0 <= report.metric.f1 <= 1.0
         assert report.train_time_ms >= 0
         assert report.reduce_time_ms is not None
@@ -379,8 +394,7 @@ class TestRunExperiment:
                  id=f"{kind}-{scheme}-{'reduced' if reduce else 'terms'}")
     for kind, hp in (("svm", {}), ("dtree", {"ccpAlpha": 1e-3}))
     for scheme in ("tfidf", "ctfidf") for reduce in (False, True)
-] + [pytest.param({"minDocFreq": 2}, id="minDocFreq-2"),
-      # a setting that treats short tokens differently at fit and reload
+] + [# a setting that treats short tokens differently at fit and reload
       # shows only where they carry the class signal
       pytest.param({"dataset": {"path": "short_token_tsv"}},
                    id="short-tokens")])
@@ -482,6 +496,18 @@ def test_malformed_artifacts_rejected(base_config, artifact, edit, named):
         load_artifacts(path.parent / "model.json")
 
 
+def test_cut_factors_rejected(base_config):
+    config = config_from_dict(base_config)
+    run_experiment(config)
+    path = Path(config.output_dir) / "factors.bin"
+    whole = path.read_bytes()
+    for size in (0, 1, 5_000, len(whole) // 2, len(whole) - 1):
+        path.write_bytes(whole[:size])
+        with pytest.raises(ArtifactError,
+                           match=re.escape(f"{path}: malformed: ")):
+            load_artifacts(path.parent / "model.json")
+
+
 class TestExplain:
     def make_tree_run(self, base_config, tmp_path, reduce_enabled=False):
         base_config["model"] = {"kind": "dtree"}
@@ -505,15 +531,20 @@ class TestExplain:
         model_path = self.make_tree_run(base_config, tmp_path)
         assert explain(model_path, top_n=0) == ()
 
+    # each refusal reads model.json alone: the other files are gone
     def test_svm_unsupported(self, base_config, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config))
         run_experiment(cfg)
+        for name in ("vocab.json", "factors.bin"):
+            (Path(cfg.output_dir) / name).unlink()
         with pytest.raises(UnsupportedModelError, match="decision tree"):
             explain(Path(cfg.output_dir) / "model.json", top_n=5)
 
     def test_reduced_tree_unsupported(self, base_config, tmp_path):
         model_path = self.make_tree_run(base_config, tmp_path,
                                         reduce_enabled=True)
+        for name in ("vocab.json", "factors.bin"):
+            (model_path.parent / name).unlink()
         with pytest.raises(UnsupportedModelError, match="reduced"):
             explain(model_path, top_n=5)
 

@@ -550,8 +550,8 @@ def test_golden_tree():
     assert (len(model.nodes), model.chosen_alpha) == (281, 1e-3)
     digest = hashlib.sha256(json.dumps(model.to_dict(), sort_keys=True)
                             .encode()).hexdigest()
-    assert digest == ("51221686fb84777c01081d094f1d3e0c"
-                      "6ae375ce3b231ef9630668bd8f876cb1")
+    assert digest == ("8a848a8e8923224f820d03cf1fc409ba"
+                      "959104af23b7cfa7ddc67dfcac4e5b7e")
 
 
 def grown_tree(D: np.ndarray, y: list[str]) -> list[tree.TreeNode]:
@@ -559,7 +559,7 @@ def grown_tree(D: np.ndarray, y: list[str]) -> list[tree.TreeNode]:
     y_idx = np.array([labels.index(lab) for lab in y])
     X = as_feature_matrix(D, "csc")
     return tree._grow(X, tree._sorted_entries(X), np.arange(len(y)), y_idx,
-                      labels, max_depth=30, min_samples_split=2)
+                      labels, max_depth=30)
 
 
 def exact_prune(nodes, alpha: float):
@@ -642,7 +642,7 @@ def test_early_leaf_prunes_as_full_growth_does(data, draw):
                                 cost.map(lambda r: 2 * r)))
     expected = DecisionTreeModel(
         tree._collapse(grown, tree._pruned(grown, alpha)), sorted(set(y)),
-        max_depth=30, min_samples_split=2, chosen_alpha=alpha).to_dict()
+        max_depth=30, chosen_alpha=alpha).to_dict()
     for M in (D, X):
         assert train_dtree(M, y, ccp_alpha=alpha).to_dict() \
             == expected
@@ -654,8 +654,8 @@ def test_json_roundtrip():
     back = DecisionTreeModel.from_dict(json.loads(json.dumps(model.to_dict())))
     # a CV-selected tree reloads with the same settings it was trained with
     assert back.to_dict() == model.to_dict()
-    assert ((back.max_depth, back.min_samples_split, back.chosen_alpha)
-            == (model.max_depth, model.min_samples_split, model.chosen_alpha))
+    assert ((back.max_depth, back.chosen_alpha)
+            == (model.max_depth, model.chosen_alpha))
     assert back.cv_mean_f1 == model.cv_mean_f1
     assert set(back.cv_mean_f1) == set(CCP_ALPHA_GRID)
     Xq = np.random.default_rng(1).standard_normal((50, X.shape[1]))
